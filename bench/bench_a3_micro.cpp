@@ -365,9 +365,8 @@ int main(int argc, char** argv) {
         const ml::Tensor bb = random_tensor({bk, bn}, 14);
         std::vector<float> bc(static_cast<std::size_t>(bm) * bn, 0.0f);
         const double flops = 2.0 * bm * bn * bk;
-        for (const auto kind :
-             {ml::kernels::BackendKind::Scalar, ml::kernels::BackendKind::Avx2,
-              ml::kernels::BackendKind::Neon}) {
+        for (const auto kind : {ml::kernels::BackendKind::Scalar,
+                                ml::kernels::BackendKind::Avx2}) {
           if (!ml::kernels::backend_available(kind)) continue;
           ml::kernels::ScopedBackend pin(kind);
           const double wall = bench::time_workload(

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstring>
 
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
 
@@ -12,50 +12,20 @@ namespace zeiot::fleet {
 
 namespace {
 
-/// FNV-1a over 64-bit words, byte by byte (same scheme as the trace and
-/// span digests, so all three compose into one behavioral identity).
-class Fnv {
- public:
-  void mix(std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (word >> (8 * i)) & 0xffu;
-      h_ *= 0x100000001b3ULL;
-    }
-  }
-  void mix_bits(double d) {
-    std::uint64_t u;
-    std::memcpy(&u, &d, sizeof(u));
-    mix(u);
-  }
-  std::uint64_t value() const { return h_; }
-
- private:
-  std::uint64_t h_ = 0xcbf29ce484222325ULL;
-};
-
-/// netexec's percentile convention (common/stats nearest_rank_quantile),
-/// shared so the 1-deployment fleet matches NetEvalResult bit-for-bit and
-/// fleet-level percentiles stay on the same definition.  Empty populations
-/// (every inference shed or terminated) aggregate to a defined zero.
-double pct(std::vector<double> v, double q) {
-  return nearest_rank_quantile(std::move(v), q);
-}
-
 void seal_digest(DeploymentOutcome& out) {
-  Fnv f;
-  f.mix(static_cast<std::uint64_t>(out.kind));
-  f.mix(out.cell_id);
-  f.mix(out.devices);
-  f.mix(out.work_items);
-  f.mix_bits(out.accuracy);
-  f.mix_bits(out.p50_latency_s);
-  f.mix_bits(out.p99_latency_s);
-  f.mix_bits(out.energy_per_item_j);
-  f.mix(out.frames_lost);
-  f.mix(out.frames_delivered);
-  for (const double lat : out.latencies_s) f.mix_bits(lat);
-  f.mix(out.trace_digest);
-  f.mix(out.span_digest);
+  Fnv1a64 f;
+  f.word(static_cast<std::uint64_t>(out.kind))
+      .word(out.cell_id)
+      .word(out.devices)
+      .word(out.work_items)
+      .bits(out.accuracy)
+      .bits(out.p50_latency_s)
+      .bits(out.p99_latency_s)
+      .bits(out.energy_per_item_j)
+      .word(out.frames_lost)
+      .word(out.frames_delivered);
+  for (const double lat : out.latencies_s) f.bits(lat);
+  f.word(out.trace_digest).word(out.span_digest);
   out.digest = f.value();
 }
 
@@ -145,8 +115,8 @@ DeploymentOutcome FleetSimulator::run_inference_cell(
     }
     out.accuracy =
         static_cast<double>(correct) / static_cast<double>(data.size());
-    out.p50_latency_s = pct(out.latencies_s, 0.50);
-    out.p99_latency_s = pct(out.latencies_s, 0.99);
+    out.p50_latency_s = nearest_rank_quantile(out.latencies_s, 0.50);
+    out.p99_latency_s = nearest_rank_quantile(out.latencies_s, 0.99);
     out.energy_per_item_j = energy / static_cast<double>(data.size());
   }
   capture_record_digests(dep_obs, out);
@@ -285,8 +255,10 @@ FleetResult FleetSimulator::run(par::ThreadPool* pool) {
     const auto inf = static_cast<double>(res.inference_count);
     res.fleet_accuracy = weighted_accuracy / inf;
     res.energy_per_inference_j = total_energy / inf;
-    res.fleet_p50_latency_s = pct(all_latencies, 0.50);
-    res.fleet_p99_latency_s = pct(all_latencies, 0.99);
+    // netexec's nearest-rank convention, so a 1-deployment fleet matches
+    // NetEvalResult bit for bit.
+    res.fleet_p50_latency_s = nearest_rank_quantile(all_latencies, 0.50);
+    res.fleet_p99_latency_s = nearest_rank_quantile(all_latencies, 0.99);
   }
   if (res.e6_frames_generated > 0) {
     res.e6_delivery_ratio = static_cast<double>(res.e6_frames_delivered) /

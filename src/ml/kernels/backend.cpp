@@ -24,8 +24,6 @@ const Backend* table_for(BackendKind kind) {
       return &kScalarBackend;
     case BackendKind::Avx2:
       return detail::cpu_has_avx2_fma() ? detail::avx2_backend() : nullptr;
-    case BackendKind::Neon:
-      return nullptr;  // recognised name, no implementation yet
   }
   return nullptr;
 }
@@ -80,8 +78,6 @@ const char* backend_name(BackendKind kind) {
       return "scalar";
     case BackendKind::Avx2:
       return "avx2";
-    case BackendKind::Neon:
-      return "neon";
   }
   return "?";
 }
@@ -92,9 +88,8 @@ BackendKind parse_backend(const std::string& name) {
   }
   if (name == "scalar") return BackendKind::Scalar;
   if (name == "avx2") return BackendKind::Avx2;
-  if (name == "neon") return BackendKind::Neon;
   throw Error("unknown kernel backend '" + name +
-              "' (expected scalar, avx2, neon, or auto)");
+              "' (expected scalar, avx2, or auto)");
 }
 
 ScopedBackend::ScopedBackend(BackendKind kind)

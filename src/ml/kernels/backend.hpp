@@ -28,8 +28,8 @@
 //   avx2    | 8-lane FMA register tile | madd_epi16 widening| (same: pure
 //           |                          | (exact, == scalar) |  data movement)
 //
-// NEON is a recognised name but reports unavailable until an aarch64
-// backend lands; the scalar loops auto-vectorise reasonably there.
+// Other targets (aarch64 included) run the scalar loops, which
+// auto-vectorise reasonably there.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +37,7 @@
 
 namespace zeiot::ml::kernels {
 
-enum class BackendKind : int { Scalar = 0, Avx2 = 1, Neon = 2 };
-
-inline constexpr int kNumBackendKinds = 3;
+enum class BackendKind : int { Scalar = 0, Avx2 = 1 };
 
 using SgemmFn = void (*)(int m, int n, int k, const float* a, int lda,
                          const float* b, int ldb, float* c, int ldc);
@@ -65,14 +63,14 @@ struct Backend {
 const Backend& active_backend();
 
 /// True when the host can execute `kind` (scalar: always; avx2: CPUID
-/// avx2+fma and the AVX2 translation unit was built; neon: never yet).
+/// avx2+fma and the AVX2 translation unit was built).
 bool backend_available(BackendKind kind);
 
 /// Forces the active backend (tests and benches; not thread-safe against
 /// concurrent kernel calls).  Throws zeiot::Error when unavailable.
 void set_backend(BackendKind kind);
 
-/// Stable lowercase name ("scalar", "avx2", "neon").
+/// Stable lowercase name ("scalar", "avx2").
 const char* backend_name(BackendKind kind);
 
 /// Parses a backend name (the ZEIOT_KERNEL_BACKEND grammar; "auto" and ""

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/digest.hpp"
+
 namespace zeiot::netexec {
 
 namespace {
@@ -17,15 +19,6 @@ static_assert(kHeaderBytes + kTrailerBytes ==
               microdeep::kNvmImageOverheadBytes);
 static_assert(2 * sizeof(std::uint32_t) == microdeep::kNvmEntryOverheadBytes);
 static_assert(sizeof(float) == microdeep::kNvmBytesPerActivation);
-
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 template <typename T>
 void put(std::vector<std::uint8_t>& out, T v) {
@@ -76,7 +69,7 @@ std::vector<std::uint8_t> encode_checkpoint(const NodeCheckpointState& state) {
     put<std::uint32_t>(out, static_cast<std::uint32_t>(e.values.size()));
     for (float v : e.values) put<float>(out, v);
   }
-  put<std::uint64_t>(out, fnv1a64(out.data(), out.size()));
+  put<std::uint64_t>(out, Fnv1a64().bytes(out.data(), out.size()).value());
   return out;
 }
 
@@ -90,7 +83,9 @@ bool decode_checkpoint(const std::uint8_t* data, std::size_t size,
   const std::uint64_t stored =
       [&] { std::size_t off = size - kTrailerBytes;
             return get<std::uint64_t>(data, off); }();
-  if (stored != fnv1a64(data, size - kTrailerBytes)) return false;
+  if (stored != Fnv1a64().bytes(data, size - kTrailerBytes).value()) {
+    return false;
+  }
 
   std::size_t off = 4;
   const auto version = get<std::uint16_t>(data, off);

@@ -1289,25 +1289,25 @@ NetEvalResult NetworkExecutor::evaluate(const ml::Dataset& data,
     ev.checkpoints += r.checkpoints;
     ev.resumes += r.resumes;
   }
+  ev.accuracy = static_cast<double>(correct) / static_cast<double>(n);
   // Shared nearest-rank convention (common/stats.hpp) — also used by the
   // fleet aggregator and tools/obs_report.py.
-  const auto pct = [](std::vector<double> v, double q) {
-    return nearest_rank_quantile(std::move(v), q);
-  };
-  ev.accuracy = static_cast<double>(correct) / static_cast<double>(n);
-  ev.p50_latency_s = pct(lat, 0.50);
-  ev.p99_latency_s = pct(lat, 0.99);
+  ev.p50_latency_s = nearest_rank_quantile(lat, 0.50);
+  ev.p99_latency_s = nearest_rank_quantile(lat, 0.99);
   ev.mean_energy_j = energy / static_cast<double>(n);
   ev.degraded_fraction =
       static_cast<double>(degraded) / static_cast<double>(n);
   ev.mean_retransmissions = retrans / static_cast<double>(n);
   ev.mean_checkpoint_energy_j = ckpt_energy / static_cast<double>(n);
-  ev.p50_breakdown = PhaseBreakdown{pct(ph_compute, 0.50), pct(ph_air, 0.50),
-                                    pct(ph_retry, 0.50), pct(ph_idle, 0.50),
-                                    pct(ph_ckpt, 0.50)};
-  ev.p99_breakdown = PhaseBreakdown{pct(ph_compute, 0.99), pct(ph_air, 0.99),
-                                    pct(ph_retry, 0.99), pct(ph_idle, 0.99),
-                                    pct(ph_ckpt, 0.99)};
+  const auto breakdown = [&](double q) {
+    return PhaseBreakdown{nearest_rank_quantile(ph_compute, q),
+                          nearest_rank_quantile(ph_air, q),
+                          nearest_rank_quantile(ph_retry, q),
+                          nearest_rank_quantile(ph_idle, q),
+                          nearest_rank_quantile(ph_ckpt, q)};
+  };
+  ev.p50_breakdown = breakdown(0.50);
+  ev.p99_breakdown = breakdown(0.99);
   ev.latencies_s = lat;  // unsorted: dataset index order
 
   if (cfg_.obs != nullptr) {

@@ -8,9 +8,6 @@
 // "null sink" that keeps unobserved hot paths at seed speed.
 #pragma once
 
-#include <chrono>
-
-#include "common/stats.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
 #include "obs/span.hpp"
@@ -60,30 +57,6 @@ class Observability {
   TraceRecorder trace_;
   SpanRecorder spans_;
   ProfilerRegistry profiler_;
-};
-
-/// RAII wall-clock timer feeding a RunningStats (or nothing when given
-/// nullptr, preserving the null-sink convention).
-class ScopeTimer {
- public:
-  explicit ScopeTimer(RunningStats* into)
-      : into_(into), start_(std::chrono::steady_clock::now()) {}
-  explicit ScopeTimer(Summary& into) : ScopeTimer(&into.mutable_stats()) {}
-  ~ScopeTimer() {
-    if (into_ != nullptr) into_->add(elapsed_s());
-  }
-  ScopeTimer(const ScopeTimer&) = delete;
-  ScopeTimer& operator=(const ScopeTimer&) = delete;
-
-  double elapsed_s() const {
-    const std::chrono::duration<double> d =
-        std::chrono::steady_clock::now() - start_;
-    return d.count();
-  }
-
- private:
-  RunningStats* into_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace zeiot::obs

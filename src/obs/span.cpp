@@ -2,6 +2,7 @@
 
 #include <iomanip>
 
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "obs/json.hpp"
 
@@ -109,30 +110,19 @@ void SpanRecorder::merge(const SpanRecorder& other) {
 }
 
 std::uint64_t SpanRecorder::digest() const {
-  const auto mix = [](std::uint64_t& h, std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (word >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  const auto bits = [](double d) {
-    std::uint64_t u;
-    __builtin_memcpy(&u, &d, sizeof(u));
-    return u;
-  };
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  Fnv1a64 h;
   for (const SpanEvent& s : spans_) {
-    mix(h, s.trace_id);
-    mix(h, s.id);
-    mix(h, s.parent);
-    mix(h, static_cast<std::uint64_t>(s.kind));
-    mix(h, bits(s.t0));
-    mix(h, bits(s.t1));
-    mix(h, s.a);
-    mix(h, s.b);
-    mix(h, bits(s.value));
+    h.word(s.trace_id)
+        .word(s.id)
+        .word(s.parent)
+        .word(static_cast<std::uint64_t>(s.kind))
+        .bits(s.t0)
+        .bits(s.t1)
+        .word(s.a)
+        .word(s.b)
+        .bits(s.value);
   }
-  return h;
+  return h.value();
 }
 
 void SpanRecorder::export_jsonl(std::ostream& out) const {

@@ -1,5 +1,6 @@
 #include "obs/trace.hpp"
 
+#include "common/digest.hpp"
 #include "common/error.hpp"
 #include "obs/json.hpp"
 
@@ -68,27 +69,16 @@ void TraceRecorder::merge(const TraceRecorder& other) {
 }
 
 std::uint64_t TraceRecorder::digest() const {
-  const auto mix = [](std::uint64_t& h, std::uint64_t word) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (word >> (8 * i)) & 0xffu;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  const auto bits = [](double d) {
-    std::uint64_t u;
-    __builtin_memcpy(&u, &d, sizeof(u));
-    return u;
-  };
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  Fnv1a64 h;
   for (std::size_t i = 0; i < count_; ++i) {
     const TraceEvent& e = at(i);
-    mix(h, bits(e.t));
-    mix(h, static_cast<std::uint64_t>(e.type));
-    mix(h, e.a);
-    mix(h, e.b);
-    mix(h, bits(e.value));
+    h.bits(e.t)
+        .word(static_cast<std::uint64_t>(e.type))
+        .word(e.a)
+        .word(e.b)
+        .bits(e.value);
   }
-  return h;
+  return h.value();
 }
 
 void TraceRecorder::export_jsonl(std::ostream& out) const {

@@ -18,9 +18,18 @@ namespace {
 /// Guards against nested parallel regions blocking on their own pool.
 thread_local bool t_in_pool_task = false;
 
-/// Sentinel the index counter is parked at between jobs: any fetch_add
-/// from a straggling worker yields a value >= every possible task count.
-constexpr std::size_t kParked = std::numeric_limits<std::size_t>::max() / 2;
+/// One `run` call.  It lives on the caller's stack, so each job has its
+/// own index counter and error slot, and nothing carries over to the next.
+struct Job {
+  Job(const std::function<void(std::size_t)>& f, std::size_t n)
+      : fn(f), total(n) {}
+  const std::function<void(std::size_t)>& fn;
+  const std::size_t total;
+  std::atomic<std::size_t> next{0};
+  // Guarded by the pool mutex; lowest failing index and its exception.
+  std::size_t error_index = std::numeric_limits<std::size_t>::max();
+  std::exception_ptr error;
+};
 
 }  // namespace
 
@@ -39,54 +48,53 @@ std::size_t default_threads() {
 struct ThreadPool::Impl {
   std::mutex m;
   std::condition_variable cv_work;   // workers wait for a new generation
-  std::condition_variable cv_done;   // caller waits for done == total
-  // Job state.  fn/total are atomics because straggling workers read them
-  // without the lock; publication order (fn, total, then next) plus the
-  // acquire/release pairing on `next` makes those reads well-defined.
-  std::atomic<const std::function<void(std::size_t)>*> fn{nullptr};
-  std::atomic<std::size_t> total{0};
-  std::atomic<std::size_t> next{kParked};
-  std::size_t done = 0;              // guarded by m
+  std::condition_variable cv_idle;   // caller waits for active == 0
+  Job* job = nullptr;                // guarded by m; null between jobs
+  std::size_t active = 0;            // guarded by m; workers inside *job
   std::uint64_t generation = 0;      // guarded by m
   bool shutdown = false;             // guarded by m
-  std::exception_ptr error;          // guarded by m; lowest failing index
-  std::size_t error_index = std::numeric_limits<std::size_t>::max();
   std::vector<std::thread> workers;
 
   /// Consumes task indices until the job is drained.  Runs on workers and
   /// on the calling thread alike.
-  void work() {
+  void drain(Job& j) {
     t_in_pool_task = true;
     for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_acq_rel);
-      const std::size_t n = total.load(std::memory_order_acquire);
-      if (i >= n) break;
-      const auto* f = fn.load(std::memory_order_acquire);
+      const std::size_t i = j.next.fetch_add(1);
+      if (i >= j.total) break;
       try {
-        (*f)(i);
+        j.fn(i);
       } catch (...) {
         std::lock_guard<std::mutex> lk(m);
-        if (i < error_index) {
-          error_index = i;
-          error = std::current_exception();
+        if (i < j.error_index) {
+          j.error_index = i;
+          j.error = std::current_exception();
         }
       }
-      std::lock_guard<std::mutex> lk(m);
-      if (++done == n) cv_done.notify_all();
     }
     t_in_pool_task = false;
   }
 
+  // A worker joins a job only under the mutex: it reads `job` and counts
+  // itself into `active` in one critical section.  The caller clears `job`
+  // and then waits for `active == 0` under the same mutex, so a worker
+  // either joined before the clear (and the caller waits for it) or sees
+  // null and never touches the record.  No claim on a job's counter can
+  // therefore outlive its `run` call or land in the next job.
   void worker_loop() {
     std::uint64_t seen = 0;
+    std::unique_lock<std::mutex> lk(m);
     for (;;) {
-      {
-        std::unique_lock<std::mutex> lk(m);
-        cv_work.wait(lk, [&] { return shutdown || generation != seen; });
-        if (shutdown) return;
-        seen = generation;
-      }
-      work();
+      cv_work.wait(lk, [&] { return shutdown || generation != seen; });
+      if (shutdown) return;
+      seen = generation;
+      Job* j = job;
+      if (j == nullptr) continue;  // that job already finished
+      ++active;
+      lk.unlock();
+      drain(*j);
+      lk.lock();
+      if (--active == 0) cv_idle.notify_one();
     }
   }
 };
@@ -118,31 +126,20 @@ void ThreadPool::run(std::size_t count,
     return;
   }
   Impl* s = impl_.get();
+  Job job(fn, count);
   {
     std::lock_guard<std::mutex> lk(s->m);
-    s->done = 0;
-    s->error = nullptr;
-    s->error_index = std::numeric_limits<std::size_t>::max();
-    s->fn.store(&fn, std::memory_order_relaxed);
-    s->total.store(count, std::memory_order_relaxed);
-    // Publish last: a worker that observes the fresh counter value also
-    // observes fn/total (release paired with the acquire in work()).
-    s->next.store(0, std::memory_order_release);
+    s->job = &job;
     ++s->generation;
   }
   s->cv_work.notify_all();
-  s->work();  // the caller participates
-  std::exception_ptr err;
+  s->drain(job);  // the caller participates
   {
     std::unique_lock<std::mutex> lk(s->m);
-    s->cv_done.wait(lk, [&] { return s->done == s->total.load(); });
-    // Park the counter so late-waking workers take no indices from the
-    // next job before its fn/total are published.
-    s->next.store(kParked, std::memory_order_release);
-    err = s->error;
-    s->error = nullptr;
+    s->job = nullptr;
+    s->cv_idle.wait(lk, [&] { return s->active == 0; });
   }
-  if (err) std::rethrow_exception(err);
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 ThreadPool& global_pool() {

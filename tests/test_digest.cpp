@@ -1,0 +1,121 @@
+// common/digest.hpp — the one FNV-1a-64 every zeiot digest is built on.
+// Checks the published FNV-1a-64 vectors, then pins the digest of one
+// fixed input per subsystem so a change to any encoding shows up here.
+// The pinned values were produced by the per-subsystem hashers this header
+// replaced, so they also prove the fold kept every digest bit-identical.
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/digest.hpp"
+#include "fault/fault.hpp"
+#include "fleet/fleet.hpp"
+#include "microdeep/wsn.hpp"
+#include "netexec/checkpoint.hpp"
+#include "obs/span.hpp"
+#include "obs/trace.hpp"
+#include "serve/serve.hpp"
+
+using namespace zeiot;
+
+namespace {
+
+std::uint64_t fnv_of(const std::string& s) {
+  return Fnv1a64().bytes(s.data(), s.size()).value();
+}
+
+}  // namespace
+
+TEST(Fnv1a64, MatchesPublishedVectors) {
+  EXPECT_EQ(fnv_of(""), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv_of("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv_of("foobar"), 0x85944171f73967e8ULL);
+}
+
+TEST(Fnv1a64, WordsMixLowByteFirst) {
+  const std::uint8_t le[8] = {0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef};
+  EXPECT_EQ(Fnv1a64().word(0xefcdab8967452301ULL).value(),
+            Fnv1a64().bytes(le, sizeof(le)).value());
+  const double d = -2.5;
+  std::uint64_t u;
+  std::memcpy(&u, &d, sizeof(u));
+  EXPECT_EQ(Fnv1a64().bits(d).value(), Fnv1a64().word(u).value());
+}
+
+TEST(PinnedDigest, FaultPlan) {
+  const fault::FaultPlan plan({
+      {0.25, fault::FaultType::NodeDeath, 3, 0.0, 1.0},
+      {0.5, fault::FaultType::MessageDrop, 1, 0.2, 0.8},
+      {1.0, fault::FaultType::NodeRevival, 3, 0.0, 1.0},
+  });
+  EXPECT_EQ(plan.digest(), 0xa5cf104b05b22a92ULL);
+}
+
+TEST(PinnedDigest, WsnTopologyGrid) {
+  const auto topo = microdeep::WsnTopology::grid({0.0, 0.0, 4.0, 3.0}, 4, 3);
+  EXPECT_EQ(topo.digest(), 0x934b533e16781759ULL);
+}
+
+TEST(PinnedDigest, TraceRecorder) {
+  obs::TraceRecorder trace(16);
+  trace.record(0.5, obs::TraceType::EventScheduled, 1, 2, 3.5);
+  trace.record(1.25, obs::TraceType::EventFired, 4, 5, -1.0);
+  EXPECT_EQ(trace.digest(), 0x49e88485aff346b3ULL);
+}
+
+TEST(PinnedDigest, SpanRecorder) {
+  obs::SpanRecorder spans(16);
+  const obs::SpanId root =
+      spans.add(obs::SpanKind::Inference, 0.0, 2.0, 0, 7, 1, 2, 0.125);
+  spans.add(obs::SpanKind::NodeCompute, 0.5, 1.5, root, 7, 3, 4, 0.0625);
+  EXPECT_EQ(spans.digest(), 0x74d91aca7c757a49ULL);
+}
+
+TEST(PinnedDigest, ServeReport) {
+  serve::ServeReport report;
+  serve::Response served;
+  served.id = 1;
+  served.route = serve::Route::E2Fall;
+  served.outcome = serve::Outcome::Served;
+  served.label = 1;
+  served.latency_s = 0.015;
+  served.batch_seq = 2;
+  served.plan_hit = true;
+  serve::Response shed;
+  shed.id = 2;
+  shed.route = serve::Route::E5Csi;
+  shed.outcome = serve::Outcome::Shed;
+  report.responses = {served, shed};
+  EXPECT_EQ(report.digest(), 0xf974d9ebf0ab7188ULL);
+}
+
+TEST(PinnedDigest, FleetDeploymentOutcome) {
+  fleet::DeploymentSpec spec;
+  spec.kind = fleet::TemplateKind::BackscatterCellE6;
+  spec.cell_id = 3;
+  spec.devices = 4;
+  spec.horizon_s = 0.5;
+  spec.wlan_rate_hz = 40.0;
+  fleet::FleetConfig cfg;
+  cfg.seed = 11;
+  cfg.deployments = {spec};
+  fleet::FleetSimulator sim(cfg);
+  obs::Observability dep_obs(512);
+  const fleet::DeploymentOutcome out = sim.run_deployment(spec, &dep_obs);
+  EXPECT_EQ(out.digest, 0x4196aac6b11d9091ULL);
+}
+
+TEST(PinnedDigest, CheckpointTrailer) {
+  netexec::NodeCheckpointState state;
+  state.node = 5;
+  state.plans_done = 2;
+  state.entries = {{1, {0.5f, -1.0f}}, {4, {2.25f}}};
+  const std::vector<std::uint8_t> image = netexec::encode_checkpoint(state);
+  ASSERT_GE(image.size(), 8u);
+  std::uint64_t trailer;
+  std::memcpy(&trailer, image.data() + image.size() - 8, sizeof(trailer));
+  EXPECT_EQ(trailer, 0x42d67604ae99c032ULL);
+}

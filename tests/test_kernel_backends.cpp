@@ -154,7 +154,6 @@ TEST(BackendDispatch, ScalarIsAlwaysAvailableAndComplete) {
 TEST(BackendDispatch, ParseBackendGrammar) {
   EXPECT_EQ(parse_backend("scalar"), BackendKind::Scalar);
   EXPECT_EQ(parse_backend("avx2"), BackendKind::Avx2);
-  EXPECT_EQ(parse_backend("neon"), BackendKind::Neon);
   // "auto" / "" resolve to something the host can actually run.
   EXPECT_TRUE(backend_available(parse_backend("auto")));
   EXPECT_TRUE(backend_available(parse_backend("")));
@@ -165,14 +164,16 @@ TEST(BackendDispatch, ParseBackendGrammar) {
 TEST(BackendDispatch, BackendNamesAreStable) {
   EXPECT_STREQ(backend_name(BackendKind::Scalar), "scalar");
   EXPECT_STREQ(backend_name(BackendKind::Avx2), "avx2");
-  EXPECT_STREQ(backend_name(BackendKind::Neon), "neon");
 }
 
 TEST(BackendDispatch, UnavailableBackendThrowsLoudly) {
-  // NEON is a recognised name but never available on x86 builds; if this
-  // ever starts passing on a real aarch64 port, drop the guard.
-  if (backend_available(BackendKind::Neon)) GTEST_SKIP();
-  EXPECT_THROW(set_backend(BackendKind::Neon), Error);
+  // A name with no backend behind it is rejected like any unknown name.
+  EXPECT_THROW(parse_backend("neon"), Error);
+  // AVX2 is the one backend a host or build can lack; pinning it there
+  // must throw rather than silently fall back to scalar.
+  if (!backend_available(BackendKind::Avx2)) {
+    EXPECT_THROW(set_backend(BackendKind::Avx2), Error);
+  }
 }
 
 TEST(BackendDispatch, ScopedBackendPinsAndRestores) {
@@ -503,10 +504,9 @@ TEST(QuantizedNetwork, ForwardBitIdenticalAcrossBackendsThreadsAndReruns) {
   ScopedBackend pin(BackendKind::Scalar);
   const Tensor ref = qnet.forward(x);
   expect_bitwise_equal(qnet.forward(x), ref, "scalar rerun");
-  for (BackendKind kind : {BackendKind::Avx2, BackendKind::Neon}) {
-    if (!backend_available(kind)) continue;
-    ScopedBackend pin2(kind);
-    expect_bitwise_equal(qnet.forward(x), ref, backend_name(kind));
+  if (backend_available(BackendKind::Avx2)) {
+    ScopedBackend pin2(BackendKind::Avx2);
+    expect_bitwise_equal(qnet.forward(x), ref, "avx2");
   }
 }
 

@@ -17,6 +17,7 @@
 #include <memory>
 #include <tuple>
 
+#include "common/digest.hpp"
 #include "microdeep/executor.hpp"
 #include "par/thread_pool.hpp"
 
@@ -78,23 +79,16 @@ std::vector<obs::TraceEvent> hop_events(const obs::Observability& o) {
 /// FNV-1a over the canonical event list (bit-exact field encoding, the
 /// TraceRecorder::digest convention applied to the sorted view).
 std::uint64_t canonical_digest(const std::vector<obs::TraceEvent>& evs) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](const void* p, std::size_t len) {
-    const auto* bytes = static_cast<const unsigned char*>(p);
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= bytes[i];
-      h *= 1099511628211ULL;
-    }
-  };
+  Fnv1a64 h;
   for (const obs::TraceEvent& e : evs) {
-    mix(&e.t, sizeof(e.t));
     const auto ty = static_cast<std::uint8_t>(e.type);
-    mix(&ty, sizeof(ty));
-    mix(&e.a, sizeof(e.a));
-    mix(&e.b, sizeof(e.b));
-    mix(&e.value, sizeof(e.value));
+    h.bytes(&e.t, sizeof(e.t))
+        .bytes(&ty, sizeof(ty))
+        .bytes(&e.a, sizeof(e.a))
+        .bytes(&e.b, sizeof(e.b))
+        .bytes(&e.value, sizeof(e.value));
   }
-  return h;
+  return h.value();
 }
 
 void expect_bitwise_equal(const ml::Tensor& a, const ml::Tensor& b) {

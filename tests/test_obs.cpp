@@ -199,15 +199,6 @@ TEST(Report, SpansBlockWhenEnabled) {
       << s;
 }
 
-TEST(ScopeTimer, NullSinkIsNoop) {
-  // Must not crash and must not record anything.
-  { ScopeTimer t(static_cast<RunningStats*>(nullptr)); }
-  RunningStats s;
-  { ScopeTimer t(&s); }
-  EXPECT_EQ(s.count(), 1u);
-  EXPECT_GE(s.min(), 0.0);
-}
-
 // ---- SpanRecorder --------------------------------------------------------
 
 TEST(SpanRecorder, OpenCloseAndAdd) {

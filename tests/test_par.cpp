@@ -1,10 +1,17 @@
 // zeiot::par — deterministic thread pool, chunking, ordered reduction, and
 // the cross-subsystem determinism guarantee: bit-identical results at any
 // worker count for the trainer, the assignment search, and merged metrics.
+#include <array>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -103,6 +110,103 @@ TEST(ThreadPool, NestedRunsExecuteInlineWithoutDeadlock) {
     pool.run(50, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 8u * 50u);
+}
+
+namespace {
+
+/// Aborts the process when `progress` stops advancing for kStallS
+/// seconds, so a deadlocked pool fails the test instead of hanging ctest.
+class Watchdog {
+ public:
+  static constexpr int kStallS = 5;
+
+  explicit Watchdog(const std::atomic<std::uint64_t>& progress)
+      : thread_([this, &progress] {
+          std::unique_lock<std::mutex> lk(m_);
+          std::uint64_t last = progress.load();
+          int still = 0;
+          while (!cv_.wait_for(lk, std::chrono::seconds(1),
+                               [this] { return stop_; })) {
+            const std::uint64_t now = progress.load();
+            still = now == last ? still + 1 : 0;
+            last = now;
+            if (still >= kStallS) {
+              std::fprintf(stderr, "ThreadPool stalled at run %llu\n",
+                           static_cast<unsigned long long>(now));
+              std::abort();
+            }
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lk(m_);
+      stop_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+ private:
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread thread_;
+};
+
+struct JobError {
+  std::size_t run;
+  std::size_t index;
+};
+
+}  // namespace
+
+TEST(ThreadPool, BackToBackRunsOfVaryingSizeRunEachIndexExactlyOnce) {
+  // Back-to-back jobs whose sizes change every call: a claim left over
+  // from one job must never run, or be counted, in the next.
+  ThreadPool pool(4);
+  constexpr std::uint64_t kRuns = 1'000'000;
+  constexpr std::size_t kMaxCount = 14;
+  std::atomic<std::uint64_t> progress{0};
+  Watchdog watchdog(progress);
+  std::array<std::atomic<int>, kMaxCount> hits{};
+  for (std::uint64_t r = 0; r < kRuns; ++r) {
+    const std::size_t n = 2 + r % (kMaxCount - 1);
+    pool.run(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < kMaxCount; ++i) {
+      const int want = i < n ? 1 : 0;
+      const int got = hits[i].exchange(0);
+      if (got != want) {
+        FAIL() << "run " << r << " (count " << n << "): index " << i
+               << " ran " << got << " times";
+      }
+    }
+    progress.fetch_add(1);
+  }
+}
+
+TEST(ThreadPool, BackToBackThrowingRunsRethrowTheirOwnLowestIndex) {
+  ThreadPool pool(4);
+  constexpr std::size_t kRuns = 20'000;
+  std::atomic<std::uint64_t> progress{0};
+  Watchdog watchdog(progress);
+  for (std::size_t r = 0; r < kRuns; ++r) {
+    const std::size_t n = 2 + r % 13;
+    // Indices with (i + r) % 3 == 0 throw; every fourth run throws none.
+    const bool throws = r % 4 != 0;
+    const std::size_t lowest = (3 - r % 3) % 3;
+    const bool expect_throw = throws && lowest < n;
+    try {
+      pool.run(n, [&](std::size_t i) {
+        if (throws && (i + r) % 3 == 0) throw JobError{r, i};
+      });
+      if (expect_throw) FAIL() << "run " << r << " did not throw";
+    } catch (const JobError& e) {
+      ASSERT_TRUE(expect_throw) << "run " << r << " threw unexpectedly";
+      ASSERT_EQ(e.run, r) << "run " << r << " rethrew another job's error";
+      ASSERT_EQ(e.index, lowest) << "run " << r;
+    }
+    progress.fetch_add(1);
+  }
 }
 
 TEST(DefaultThreads, HonorsZeiotThreadsEnv) {
