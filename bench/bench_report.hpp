@@ -150,9 +150,9 @@ inline void write_bench_report(const std::string& name,
     obs.metrics()
         .counter("obs.trace.dropped_events")
         .inc(static_cast<double>(obs.trace().dropped()));
-    std::cerr << "WARNING: " << name << ": trace ring dropped "
+    std::cerr << "WARNING: " << name << ": trace recorder dropped "
               << obs.trace().dropped()
-              << " events; oldest events are missing from the export\n";
+              << " events; newest events are missing from the export\n";
   }
   if (obs.spans().dropped() > 0) {
     obs.metrics()

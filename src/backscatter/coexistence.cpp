@@ -155,9 +155,9 @@ bool CoexistenceSimulator::proposed_on_carrier(double start,
   if (!f.has_value()) return false;
   channel_.add(start, tb, f->device + 1, "backscatter", false);
   if (obs_ != nullptr) {
-    obs_->trace().record(start, obs::TraceType::BackscatterWindowOpen,
+    obs_->trace().record(start, obs::SpanKind::BackscatterWindowOpen,
                          f->device, 0, tb);
-    obs_->trace().record(start + tb, obs::TraceType::BackscatterWindowClose,
+    obs_->trace().record(start + tb, obs::SpanKind::BackscatterWindowClose,
                          f->device);
   }
   if (tb > carrier_airtime) {
@@ -167,7 +167,7 @@ bool CoexistenceSimulator::proposed_on_carrier(double start,
     if (obs_ != nullptr) {
       obs_->metrics().counter("backscatter.dummy.injections").inc();
       obs_->trace().record(channel_free_at_,
-                           obs::TraceType::DummyCarrierInjected, f->device, 0,
+                           obs::SpanKind::DummyCarrierInjected, f->device, 0,
                            extension);
     }
     channel_free_at_ += extension;
@@ -211,12 +211,12 @@ void CoexistenceSimulator::proposed_check_deadlines() {
   channel_.add(now, tb, f->device + 1, "backscatter", false);
   if (obs_ != nullptr) {
     obs_->metrics().counter("backscatter.dummy.injections").inc();
-    obs_->trace().record(now, obs::TraceType::DummyCarrierInjected, f->device,
+    obs_->trace().record(now, obs::SpanKind::DummyCarrierInjected, f->device,
                          0, tb);
-    obs_->trace().record(now, obs::TraceType::BackscatterWindowOpen,
+    obs_->trace().record(now, obs::SpanKind::BackscatterWindowOpen,
                          f->device, 0, tb);
     obs_->trace().record(channel_free_at_,
-                         obs::TraceType::BackscatterWindowClose, f->device);
+                         obs::SpanKind::BackscatterWindowClose, f->device);
   }
   const PendingFrame frame = *f;
   sim_.schedule_at(channel_free_at_, [this, frame, tb] {
@@ -261,7 +261,7 @@ void CoexistenceSimulator::naive_on_carrier(double start,
     // Tags cannot hear each other: simultaneous backscatter collides and
     // the in-flight frames must start over.
     if (obs_ != nullptr) {
-      obs_->trace().record(start, obs::TraceType::PacketCollision,
+      obs_->trace().record(start, obs::SpanKind::PacketCollision,
                            static_cast<std::uint32_t>(riders.size()));
     }
     for (std::size_t i : riders) {
@@ -282,10 +282,10 @@ void CoexistenceSimulator::naive_on_carrier(double start,
   }
   channel_.add(start, carrier_airtime, d.id + 1, "backscatter", false);
   if (obs_ != nullptr) {
-    obs_->trace().record(start, obs::TraceType::BackscatterWindowOpen, d.id, 0,
+    obs_->trace().record(start, obs::SpanKind::BackscatterWindowOpen, d.id, 0,
                          carrier_airtime);
     obs_->trace().record(start + carrier_airtime,
-                         obs::TraceType::BackscatterWindowClose, d.id);
+                         obs::SpanKind::BackscatterWindowClose, d.id);
   }
   d.remaining_airtime_s -= carrier_airtime;
   d.last_carrier_end = start + carrier_airtime;

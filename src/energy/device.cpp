@@ -71,12 +71,12 @@ void IntermittentDevice::advance(double t_seconds) {
       ++boots_;
       if (obs_ != nullptr) {
         boots_ctr_->inc();
-        obs_->trace().record(t, obs::TraceType::EnergyBoot, device_id_, 0,
+        obs_->trace().record(t, obs::SpanKind::EnergyBoot, device_id_, 0,
                              cap_.voltage());
       }
     } else if (was_on && !switch_.is_on() && obs_ != nullptr) {
       brownouts_ctr_->inc();
-      obs_->trace().record(t, obs::TraceType::EnergyBrownout, device_id_, 0,
+      obs_->trace().record(t, obs::SpanKind::EnergyBrownout, device_id_, 0,
                            cap_.voltage());
     }
     t += dt;
@@ -103,7 +103,7 @@ bool IntermittentDevice::try_spend(const std::string& activity,
     // was available) but the device must re-boot before the next one.
     if (obs_ != nullptr) {
       brownouts_ctr_->inc();
-      obs_->trace().record(last_t_, obs::TraceType::EnergyBrownout,
+      obs_->trace().record(last_t_, obs::SpanKind::EnergyBrownout,
                            device_id_, 0, cap_.voltage());
     }
   }

@@ -127,7 +127,7 @@ void FaultInjector::note_injection(double t, FaultType type,
     obs_->metrics()
         .counter("fault.injected", {{"type", fault_type_name(type)}})
         .inc();
-    obs_->trace().record(t, obs::TraceType::FaultInjected, target,
+    obs_->trace().record(t, obs::SpanKind::FaultInjected, target,
                          static_cast<std::uint32_t>(type), magnitude);
   }
 }
@@ -155,7 +155,7 @@ void FaultDriver::arm() {
         obs->metrics()
             .counter("fault.transitions", {{"type", fault_type_name(e.type)}})
             .inc();
-        obs->trace().record(e.t, obs::TraceType::FaultInjected, e.target,
+        obs->trace().record(e.t, obs::SpanKind::FaultInjected, e.target,
                             static_cast<std::uint32_t>(e.type), e.magnitude);
       }
     });

@@ -10,7 +10,7 @@
 // zeiot simulation is single-threaded and deterministic, a fixed (plan,
 // seed) pair reproduces the identical fault realization run after run.
 // Every applied fault is counted in the metrics registry and recorded
-// through the TraceRecorder, so a failure is replayable from one seed.
+// as a FaultInjected trace event, so a failure is replayable from one seed.
 #pragma once
 
 #include <cstdint>

@@ -58,22 +58,36 @@ bool InvariantChecker::check_energy_bounds(double t, std::uint32_t device,
   return false;
 }
 
-bool InvariantChecker::check_no_dead_sender(const obs::TraceRecorder& trace,
+bool InvariantChecker::check_no_dead_sender(const obs::SpanRecorder& trace,
                                             const FaultInjector& inj) {
+  // Bounds fixed up front: with the checker's own context as `trace`, each
+  // violation appends an InvariantViolation record to it.
+  const std::size_t n = trace.size();
+  const std::uint64_t dropped = trace.dropped();
   bool ok = true;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const obs::TraceEvent& e = trace.at(i);
-    if (e.type != obs::TraceType::PacketTx &&
-        e.type != obs::TraceType::MicroDeepHop) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const obs::SpanEvent e = trace.at(i);
+    if (e.kind != obs::SpanKind::PacketTx &&
+        e.kind != obs::SpanKind::MicroDeepHop) {
       continue;
     }
-    if (inj.node_dead(e.t, e.a)) {
+    if (inj.node_dead(e.t0, e.a)) {
       std::ostringstream os;
-      os << obs::trace_type_name(e.type) << " from dead node " << e.a << " at t="
-         << e.t;
-      record_violation(e.t, "no_dead_sender", os.str());
+      os << obs::span_kind_name(e.kind) << " from dead node " << e.a
+         << " at t=" << e.t0;
+      record_violation(e.t0, "no_dead_sender", os.str());
       ok = false;
     }
+  }
+  // A truncated trace cannot prove the invariant: the dropped tail may
+  // hold exactly the transmission being looked for.
+  if (dropped > 0) {
+    std::ostringstream os;
+    os << "trace dropped " << dropped
+       << " records; senders after the retained prefix were not checked";
+    record_violation(n > 0 ? trace.at(n - 1).t0 : 0.0, "no_dead_sender",
+                     os.str());
+    ok = false;
   }
   return ok;
 }
@@ -120,7 +134,7 @@ void InvariantChecker::record_violation(double t, const std::string& invariant,
     obs_->metrics()
         .counter("fault.invariant.violations", {{"invariant", invariant}})
         .inc();
-    obs_->trace().record(t, obs::TraceType::InvariantViolation,
+    obs_->trace().record(t, obs::SpanKind::InvariantViolation,
                          static_cast<std::uint32_t>(violations_.size()));
   }
 }

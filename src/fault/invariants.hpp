@@ -58,8 +58,9 @@ class InvariantChecker {
                            double voltage_v);
 
   /// No traffic-sourcing trace event (PacketTx, MicroDeepHop) may have been
-  /// recorded while its source was dead under `inj`'s plan.
-  bool check_no_dead_sender(const obs::TraceRecorder& trace,
+  /// recorded while its source was dead under `inj`'s plan.  A trace that
+  /// dropped records fails too: its verdict would only cover a prefix.
+  bool check_no_dead_sender(const obs::SpanRecorder& trace,
                             const FaultInjector& inj);
 
   /// Assignment cover under dropout: every unit mapped to exactly one node,

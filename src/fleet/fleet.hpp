@@ -49,8 +49,8 @@ struct FleetConfig {
 
   /// Merge per-deployment metrics registries into `obs` (slot order).
   bool merge_metrics = true;
-  /// Also merge per-deployment trace rings and span streams into `obs`.
-  /// Off by default: a fleet-level ring holding a blend of thousands of
+  /// Also merge per-deployment traces and span streams into `obs`.
+  /// Off by default: a fleet-level trace holding a blend of thousands of
   /// deployments is rarely useful, and merging is O(events).
   bool merge_records = false;
 

@@ -330,7 +330,7 @@ CollectionFaultReport replay_schedule_with_faults(
           ++rep.recovered;
         }
         if (obs != nullptr) {
-          obs->trace().record(w->start_s, obs::TraceType::PacketTx,
+          obs->trace().record(w->start_s, obs::SpanKind::PacketTx,
                               w->device);
         }
         break;

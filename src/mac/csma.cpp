@@ -147,7 +147,7 @@ CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
         ++m.per_station_successes[ready.front()];
         if (obs != nullptr) {
           obs->trace().record(static_cast<double>(slot),
-                              obs::TraceType::PacketTx, sid);
+                              obs::SpanKind::PacketTx, sid);
         }
         delay_sum += static_cast<double>(slot - st.enqueued_at);
         st.has_frame = cfg.saturated;
@@ -159,7 +159,7 @@ CsmaMetrics simulate_csma(const CsmaConfig& cfg, std::size_t slots,
       ++m.collisions;
       if (obs != nullptr) {
         obs->trace().record(static_cast<double>(slot),
-                            obs::TraceType::PacketCollision,
+                            obs::SpanKind::PacketCollision,
                             static_cast<std::uint32_t>(ready.size()));
       }
       for (std::size_t i : ready) {

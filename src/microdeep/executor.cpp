@@ -148,7 +148,7 @@ ExecutionResult execute_distributed(ml::Network& net, const UnitGraph& graph,
       if (obs != nullptr) {
         node_messages[sn] += 1.0;
         node_messages[dn] += 1.0;
-        obs->trace().record(ready_at[src], obs::TraceType::MicroDeepHop, sn,
+        obs->trace().record(ready_at[src], obs::SpanKind::MicroDeepHop, sn,
                             dn, static_cast<double>(hops));
       }
     }

@@ -786,7 +786,7 @@ NetInferenceResult NetworkExecutor::run_impl(
     const Message& m = plans_[k].messages[mi];
     ++res.messages;
     if (obs != nullptr) {
-      obs->trace().record(sim.now(), obs::TraceType::MicroDeepHop, m.src_node,
+      obs->trace().record(sim.now(), obs::SpanKind::MicroDeepHop, m.src_node,
                           m.dst_node, static_cast<double>(m.hops));
     }
     attempt_hop(k, mi, m.src_node, 0, 0);
@@ -843,7 +843,7 @@ NetInferenceResult NetworkExecutor::run_impl(
     spend_stored(nxt, now, cfg_.costs.rx_watt * air);
     air_ivals.push_back(Ival{now, now + air});
     if (obs != nullptr) {
-      obs->trace().record(now, obs::TraceType::PacketTx, cur, nxt, air);
+      obs->trace().record(now, obs::SpanKind::PacketTx, cur, nxt, air);
     }
     if (sp != nullptr) {
       sp->add(
@@ -913,7 +913,7 @@ NetInferenceResult NetworkExecutor::run_impl(
     const LayerPlan& plan = plans_[k];
     const Message& m = plan.messages[mi];
     if (obs != nullptr) {
-      obs->trace().record(sim.now(), obs::TraceType::PacketRx, at, m.dst_node,
+      obs->trace().record(sim.now(), obs::SpanKind::PacketRx, at, m.dst_node,
                           static_cast<double>(plan.payload_bytes));
     }
     if (at != m.dst_node) {

@@ -26,7 +26,7 @@ std::string Report::sibling_path(const std::string& suffix) const {
 std::string Report::path() const { return sibling_path(".metrics.json"); }
 
 void Report::write(std::ostream& out, const MetricsRegistry& metrics,
-                   const TraceRecorder* trace,
+                   const SpanRecorder* trace,
                    const SpanRecorder* spans) const {
   JsonWriter w(out);
   w.begin_object();
@@ -38,7 +38,8 @@ void Report::write(std::ostream& out, const MetricsRegistry& metrics,
   metrics.write_json(out);
   if (trace != nullptr) {
     w.key("trace").begin_object();
-    w.key("recorded").value(trace->recorded());
+    w.key("recorded").value(static_cast<std::uint64_t>(trace->size()) +
+                            trace->dropped());
     w.key("retained").value(static_cast<std::uint64_t>(trace->size()));
     w.key("dropped").value(trace->dropped());
     w.end_object();
@@ -69,7 +70,7 @@ std::optional<std::string> Report::write_sibling(
 }
 
 std::optional<std::string> Report::write_file(const MetricsRegistry& metrics,
-                                              const TraceRecorder* trace,
+                                              const SpanRecorder* trace,
                                               const SpanRecorder* spans)
     const {
   return write_sibling(".metrics.json", [&](std::ostream& out) {

@@ -17,6 +17,10 @@
 //     "spans": { "recorded": N, "dropped": D, "roots": R }      // if spanned
 //   }
 //
+// Both blocks describe a SpanRecorder (trace entries are zero-duration
+// spans).  A full recorder keeps its first records, so in the trace block
+// recorded == retained + dropped and the dropped ones are the newest.
+//
 // When spans were recorded the report can be accompanied by
 // `<bench>.spans.jsonl` (one span per line) and `<bench>.trace.json`
 // (Chrome trace_event format) via the write_*_file helpers.
@@ -42,14 +46,14 @@ class Report {
 
   /// Serializes the full report document to `out`.
   void write(std::ostream& out, const MetricsRegistry& metrics,
-             const TraceRecorder* trace = nullptr,
+             const SpanRecorder* trace = nullptr,
              const SpanRecorder* spans = nullptr) const;
 
   /// Writes `path()`; returns the path written, or nullopt (with a note on
   /// stderr) if the file could not be opened.  Benches call this last so a
   /// read-only working directory never fails the run itself.
   std::optional<std::string> write_file(const MetricsRegistry& metrics,
-                                        const TraceRecorder* trace = nullptr,
+                                        const SpanRecorder* trace = nullptr,
                                         const SpanRecorder* spans = nullptr)
       const;
   std::optional<std::string> write_file(const Observability& obs) const {

@@ -12,13 +12,13 @@ SimulatorProbe::SimulatorProbe(Observability& obs)
 
 void SimulatorProbe::on_scheduled(sim::Time t, std::uint64_t id) {
   scheduled_.inc();
-  obs_.trace().record(t, TraceType::EventScheduled,
+  obs_.trace().record(t, SpanKind::EventScheduled,
                       static_cast<std::uint32_t>(id));
 }
 
 void SimulatorProbe::on_cancelled(sim::Time now, std::uint64_t id) {
   cancelled_.inc();
-  obs_.trace().record(now, TraceType::EventCancelled,
+  obs_.trace().record(now, SpanKind::EventCancelled,
                       static_cast<std::uint32_t>(id));
 }
 
@@ -27,7 +27,7 @@ void SimulatorProbe::on_executed(sim::Time t, std::uint64_t id,
   executed_.inc();
   queue_depth_.set(static_cast<double>(queue_depth));
   wall_.observe(wall_s);
-  obs_.trace().record(t, TraceType::EventFired,
+  obs_.trace().record(t, SpanKind::EventFired,
                       static_cast<std::uint32_t>(id));
   if (obs_.spans_enabled()) {
     if (step_open_ && t == step_t_) {

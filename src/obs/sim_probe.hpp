@@ -11,9 +11,10 @@
 //       (counters)
 //   sim.queue.depth            (gauge, peak via max_seen)
 //   sim.callback.wall_s        (summary of per-callback host wall time)
-// Emitted trace events: EventScheduled / EventFired / EventCancelled with
-// a = low 32 bits of the event sequence id.  Wall time is deliberately
-// *not* traced so that two same-seed runs produce identical traces.
+// Emitted trace events (zero-duration spans in `obs.trace()`):
+// EventScheduled / EventFired / EventCancelled with a = low 32 bits of the
+// event sequence id.  Wall time is deliberately *not* traced so that two
+// same-seed runs produce identical traces.
 //
 // When the Observability context has spans enabled, the probe also emits
 // one SimStep span per distinct virtual timestamp: all events executed at

@@ -1,26 +1,31 @@
-// Causal span recorder: parent/child spans over *virtual* simulation time.
+// Event recorder: parent/child spans and point events over *virtual*
+// simulation time.
 //
-// Where the TraceRecorder answers "what happened, in order" with flat
-// point events, spans answer "where did this inference spend its time":
-// every span has a duration [t0, t1], a parent span, and a trace id that
-// groups one causal unit of work (one inference, one training run).  The
-// design constraints mirror MetricsRegistry:
+// One recorder answers both "what happened, in order" and "where did this
+// inference spend its time".  A span has a duration [t0, t1], a parent
+// span, and a trace id that groups one causal unit of work (one inference,
+// one training run).  A point event (a packet sent, a kernel event fired, a
+// fault applied) is a zero-duration root span: t0 == t1, parent 0, trace
+// id 0, recorded with `record()`.  The design constraints mirror
+// MetricsRegistry:
 //
-//  * deterministic — spans carry only virtual time and seed-derived trace
-//    ids, never wall clocks, so two same-seed runs (at any ZEIOT_THREADS)
-//    produce bit-identical recorders; `digest()` is the handle tests pin;
+//  * deterministic — records carry only virtual time and seed-derived
+//    trace ids, never wall clocks, so two same-seed runs (at any
+//    ZEIOT_THREADS) produce bit-identical recorders; `digest()` is the
+//    handle tests pin;
 //  * mergeable — per-worker recorders combine with `merge()`, which
 //    remaps span ids by a fixed offset so parent links survive; merging
 //    slot recorders in index order keeps the result thread-count
 //    independent (same pattern as bench::parallel_sweep);
-//  * bounded — a fixed capacity with a dropped-span counter; unlike the
-//    trace ring, a full recorder drops the *newest* spans (dropping old
-//    ones would orphan subtrees), and `dropped()` surfaces the loss;
+//  * bounded — a fixed capacity with a dropped-record counter: a full
+//    recorder keeps the first `capacity` records and drops the *newest*
+//    (dropping old ones would orphan subtrees, and close(id) indexes by
+//    id), and `dropped()` surfaces the loss;
 //  * null sink — a recorder constructed with capacity 0 is disabled:
 //    `enabled()` is a single bool test and every emit site guards on it,
 //    so unobserved hot paths stay at seed speed.
 //
-// Exporters: JSONL (one span per line, the golden-snapshot format),
+// Exporters: JSONL (one record per line, the golden-snapshot format),
 // Chrome trace_event JSON (load in chrome://tracing or Perfetto; pid =
 // trace id, tid = the span's `a` attribute, usually a node id), and an
 // indented text tree for terminal inspection.
@@ -33,9 +38,10 @@
 
 namespace zeiot::obs {
 
-/// Span vocabulary shared by all instrumented subsystems.  A fixed enum
-/// (rather than free-form strings) keeps spans 40 bytes, digests stable
-/// and export names canonical.
+/// Record vocabulary shared by all instrumented subsystems.  A fixed enum
+/// (rather than free-form strings) keeps records fixed-size, digests
+/// stable and export names canonical.  Kind ordinals feed digests, so new
+/// kinds are only ever appended.
 enum class SpanKind : std::uint8_t {
   // netexec / microdeep inference path.
   Inference,      // root: one end-to-end inference (value = energy_j)
@@ -71,6 +77,29 @@ enum class SpanKind : std::uint8_t {
   // kind ordinals feed span digests and the golden traces.
   Checkpoint,       // one NVM commit burst on a node (value = joules)
   PhaseCheckpoint,  // attribution-lane child: NVM commit time of the run
+  // Point events, recorded with SpanRecorder::record() as zero-duration
+  // roots.  Simulator kernel (a = low 32 bits of the event sequence id).
+  EventScheduled,
+  EventFired,
+  EventCancelled,
+  // MAC / channel.
+  PacketTx,
+  PacketRx,
+  PacketCollision,
+  // Backscatter MAC.
+  BackscatterWindowOpen,
+  BackscatterWindowClose,
+  DummyCarrierInjected,
+  // MicroDeep.
+  MicroDeepHop,
+  // Energy.
+  EnergyHarvest,
+  EnergyBoot,
+  EnergyBrownout,
+  // Fault injection (a = target, b = fault::FaultType, value = magnitude).
+  FaultInjected,
+  // Invariant checking (a = cumulative violation count).
+  InvariantViolation,
 };
 
 /// Stable lowercase name used in all exports.
@@ -127,9 +156,15 @@ class SpanRecorder {
              std::uint64_t trace_id = 0, std::uint32_t a = 0,
              std::uint32_t b = 0, double value = 0.0);
 
-  /// Spans retained (open or closed).
+  /// Records a point event at `t`: a zero-duration root span.
+  void record(double t, SpanKind kind, std::uint32_t a = 0,
+              std::uint32_t b = 0, double value = 0.0) {
+    add(kind, t, t, 0, 0, a, b, value);
+  }
+
+  /// Records retained (open or closed).
   std::size_t size() const { return spans_.size(); }
-  /// Spans refused because the recorder was full (never because it was
+  /// Records refused because the recorder was full (never because it was
   /// disabled — a disabled recorder records nothing and drops nothing).
   std::uint64_t dropped() const { return dropped_; }
   /// Retained spans whose parent id is 0.
@@ -140,18 +175,19 @@ class SpanRecorder {
 
   void clear();
 
-  /// Appends `other`'s spans, remapping ids by this recorder's current
-  /// size so parent links stay intact.  Trace ids pass through unchanged.
-  /// Merging per-slot recorders in slot order yields a recorder
-  /// bit-identical at any worker count.
+  /// Appends `other`'s records, remapping ids by this recorder's current
+  /// size so parent links stay intact, and folds `other`'s drop count into
+  /// dropped().  Trace ids pass through unchanged.  Merging per-slot
+  /// recorders in slot order yields a recorder bit-identical at any worker
+  /// count.
   void merge(const SpanRecorder& other);
 
-  /// FNV-1a digest over all retained spans (bit-exact field encoding) —
-  /// the determinism handle of the span layer, mirroring
-  /// TraceRecorder::digest().
+  /// FNV-1a digest over all retained records (bit-exact field encoding) —
+  /// the determinism handle of the recorder: two same-seed runs of a
+  /// deterministic experiment must produce equal digests.
   std::uint64_t digest() const;
 
-  /// One JSON object per line:
+  /// One JSON object per record:
   /// {"trace":..,"id":..,"parent":..,"kind":"..","t0":..,"t1":..,
   ///  "a":..,"b":..,"v":..} — the golden-snapshot format.
   void export_jsonl(std::ostream& out) const;

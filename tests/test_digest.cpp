@@ -16,7 +16,6 @@
 #include "microdeep/wsn.hpp"
 #include "netexec/checkpoint.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "serve/serve.hpp"
 
 using namespace zeiot;
@@ -25,6 +24,28 @@ namespace {
 
 std::uint64_t fnv_of(const std::string& s) {
   return Fnv1a64().bytes(s.data(), s.size()).value();
+}
+
+// The retired flat trace hashed each point event as (t, type ordinal, a,
+// b, value).  Point events now live in SpanRecorder as zero-duration
+// roots whose kinds start at EventScheduled; projecting them back onto
+// that encoding reproduces the old digests exactly, which proves the
+// records map 1:1.
+std::uint64_t v1_trace_digest(const obs::SpanRecorder& trace) {
+  const auto first = static_cast<std::uint64_t>(obs::SpanKind::EventScheduled);
+  Fnv1a64 h;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const obs::SpanEvent& e = trace.at(i);
+    EXPECT_EQ(e.t0, e.t1);
+    EXPECT_EQ(e.parent, 0u);
+    EXPECT_GE(static_cast<std::uint64_t>(e.kind), first);
+    h.bits(e.t0)
+        .word(static_cast<std::uint64_t>(e.kind) - first)
+        .word(e.a)
+        .word(e.b)
+        .bits(e.value);
+  }
+  return h.value();
 }
 
 }  // namespace
@@ -59,11 +80,12 @@ TEST(PinnedDigest, WsnTopologyGrid) {
   EXPECT_EQ(topo.digest(), 0x934b533e16781759ULL);
 }
 
-TEST(PinnedDigest, TraceRecorder) {
-  obs::TraceRecorder trace(16);
-  trace.record(0.5, obs::TraceType::EventScheduled, 1, 2, 3.5);
-  trace.record(1.25, obs::TraceType::EventFired, 4, 5, -1.0);
-  EXPECT_EQ(trace.digest(), 0x49e88485aff346b3ULL);
+TEST(PinnedDigest, PointTrace) {
+  obs::SpanRecorder trace(16);
+  trace.record(0.5, obs::SpanKind::EventScheduled, 1, 2, 3.5);
+  trace.record(1.25, obs::SpanKind::EventFired, 4, 5, -1.0);
+  EXPECT_EQ(v1_trace_digest(trace), 0x49e88485aff346b3ULL);
+  EXPECT_EQ(trace.digest(), 0x345205ae6ed0712aULL);
 }
 
 TEST(PinnedDigest, SpanRecorder) {
@@ -105,7 +127,10 @@ TEST(PinnedDigest, FleetDeploymentOutcome) {
   fleet::FleetSimulator sim(cfg);
   obs::Observability dep_obs(512);
   const fleet::DeploymentOutcome out = sim.run_deployment(spec, &dep_obs);
-  EXPECT_EQ(out.digest, 0x4196aac6b11d9091ULL);
+  ASSERT_EQ(dep_obs.trace().size(), 116u);
+  ASSERT_EQ(dep_obs.trace().dropped(), 0u);
+  EXPECT_EQ(v1_trace_digest(dep_obs.trace()), 0x05a024bce9a2479fULL);
+  EXPECT_EQ(out.digest, 0xbdff347ea2fd6642ULL);
 }
 
 TEST(PinnedDigest, CheckpointTrailer) {

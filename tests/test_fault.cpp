@@ -196,7 +196,7 @@ TEST(FaultInjector, RecordsInjectionsIntoObservability) {
                 .value(),
             1.0);
   ASSERT_EQ(obs.trace().size(), 1u);
-  EXPECT_EQ(obs.trace().at(0).type, obs::TraceType::FaultInjected);
+  EXPECT_EQ(obs.trace().at(0).kind, obs::SpanKind::FaultInjected);
   EXPECT_EQ(obs.trace().at(0).a, 1u);
 }
 
@@ -235,14 +235,33 @@ TEST(InvariantChecker, EnergyBoundsAndRequireClean) {
 
 TEST(InvariantChecker, NoDeadSenderScansTrace) {
   obs::Observability obs;
-  obs.trace().record(1.0, obs::TraceType::PacketTx, /*a=*/3);
-  obs.trace().record(6.0, obs::TraceType::PacketTx, /*a=*/3);
+  obs.trace().record(1.0, obs::SpanKind::PacketTx, /*a=*/3);
+  obs.trace().record(6.0, obs::SpanKind::PacketTx, /*a=*/3);
   FaultInjector inj(FaultPlan({{5.0, FaultType::NodeDeath, 3}}));
   InvariantChecker chk;
   EXPECT_FALSE(chk.check_no_dead_sender(obs.trace(), inj))
       << "the t=6 transmission comes from a node dead since t=5";
   ASSERT_EQ(chk.violations().size(), 1u);
   EXPECT_DOUBLE_EQ(chk.violations().front().t, 6.0);
+}
+
+TEST(InvariantChecker, NoDeadSenderFailsOnTruncatedTrace) {
+  // Every retained sender is alive, but two events were dropped: the
+  // check cannot vouch for them, so it must not report clean.
+  obs::Observability obs(4);
+  for (int i = 0; i < 6; ++i) {
+    obs.trace().record(static_cast<double>(i), obs::SpanKind::PacketTx,
+                       /*a=*/1);
+  }
+  ASSERT_EQ(obs.trace().dropped(), 2u);
+  FaultInjector inj{FaultPlan{}};
+  InvariantChecker chk;
+  EXPECT_FALSE(chk.check_no_dead_sender(obs.trace(), inj));
+  ASSERT_EQ(chk.violations().size(), 1u);
+  EXPECT_EQ(chk.violations().front().invariant, "no_dead_sender");
+  EXPECT_NE(chk.violations().front().detail.find("dropped 2"),
+            std::string::npos)
+      << chk.violations().front().detail;
 }
 
 TEST(InvariantChecker, UnitCoverUnderDropout) {

@@ -195,7 +195,7 @@ TEST(FleetConformance, SingleBackscatterCellMatchesStandaloneSimulator) {
   cfg.deployments = {spec};
   obs::Observability fleet_obs(1 << 14);
   cfg.obs = &fleet_obs;
-  cfg.trace_capacity = 512;  // per-slot ring matches ref_obs
+  cfg.trace_capacity = 512;  // per-slot trace matches ref_obs
   cfg.merge_records = true;
   FleetSimulator fleet(std::move(cfg));
   const FleetResult res = fleet.run();
@@ -205,7 +205,7 @@ TEST(FleetConformance, SingleBackscatterCellMatchesStandaloneSimulator) {
   EXPECT_EQ(res.e6_frames_delivered, ref.frames_delivered);
   expect_bits_equal(res.accuracy[0], ref.delivery_ratio(), "delivery ratio");
   expect_bits_equal(res.p50_latency_s[0], ref.mean_latency_s, "mean latency");
-  // The merged fleet trace ring is exactly the standalone ring: one
+  // The merged fleet trace is exactly the standalone trace: one
   // deployment, slot-order merge, same capacity.
   EXPECT_EQ(fleet_obs.trace().digest(), ref_obs.trace().digest());
 }

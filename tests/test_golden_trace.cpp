@@ -1,14 +1,19 @@
 // Golden-trace regression: a fixed-seed end-to-end scenario (backscatter
 // coexistence under fault injection + a distributed MicroDeep inference)
-// exports its event trace as JSONL and must match the checked-in snapshot
-// byte for byte.  Any behavioral drift — event reordering, RNG stream
-// changes, altered fault schedules — shows up as a first-divergence diff.
+// exports its event trace (zero-duration spans) as JSONL and must match
+// the checked-in snapshot byte for byte.  Any behavioral drift — event
+// reordering, RNG stream changes, altered fault schedules — shows up as a
+// first-divergence diff.  A second scenario pins the causal span tree of
+// network-in-the-loop inference the same way.
 //
 // To regenerate after an *intentional* behavior change:
 //   ZEIOT_UPDATE_GOLDEN=1 ./build/tests/test_golden_trace
-// then commit the updated tests/golden/e2e_trace.jsonl with the change.
+// then commit the updated tests/golden/*.jsonl with the change.  CI fails
+// any run that leaves tests/golden modified, so a leaked
+// ZEIOT_UPDATE_GOLDEN cannot turn the suite green.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -16,9 +21,11 @@
 #include <vector>
 
 #include "backscatter/coexistence.hpp"
+#include "common/digest.hpp"
 #include "fault/injector.hpp"
 #include "microdeep/executor.hpp"
 #include "netexec/netexec.hpp"
+#include "obs/json.hpp"
 
 namespace zeiot {
 namespace {
@@ -131,6 +138,39 @@ std::string render_scenario_jsonl() {
   std::ostringstream out;
   obs.trace().export_jsonl(out);
   return out.str();
+}
+
+// The trace snapshot was first recorded by a flat point-event recorder as
+// {"t","type","a","b","v"} lines: 1,058 lines, 69,598 bytes, FNV-1a-64
+// 0x4713e8c981453a78.  Re-rendering today's zero-duration spans in that
+// shape reproduces those bytes exactly, which proves the move to span
+// records dropped, reordered or altered no event.
+TEST(GoldenTrace, SpanRecordsReRenderTheFlatSnapshot) {
+  obs::Observability obs(1u << 16);
+  run_scenario(obs);
+  ASSERT_EQ(obs.trace().dropped(), 0u);
+  std::ostringstream out;
+  for (std::size_t i = 0; i < obs.trace().size(); ++i) {
+    const obs::SpanEvent& e = obs.trace().at(i);
+    ASSERT_EQ(e.t0, e.t1) << "record " << i;
+    ASSERT_EQ(e.parent, 0u) << "record " << i;
+    ASSERT_EQ(e.trace_id, 0u) << "record " << i;
+    ASSERT_EQ(e.id, i + 1) << "record " << i;
+    obs::JsonWriter w(out);
+    w.begin_object();
+    w.key("t").value(e.t0);
+    w.key("type").value(obs::span_kind_name(e.kind));
+    w.key("a").value(static_cast<std::uint64_t>(e.a));
+    w.key("b").value(static_cast<std::uint64_t>(e.b));
+    w.key("v").value(e.value);
+    w.end_object();
+    out << '\n';
+  }
+  const std::string text = out.str();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1058);
+  EXPECT_EQ(text.size(), 69598u);
+  EXPECT_EQ(Fnv1a64().bytes(text.data(), text.size()).value(),
+            0x4713e8c981453a78ULL);
 }
 
 TEST(GoldenTrace, ScenarioIsDeterministicInProcess) {

@@ -62,31 +62,34 @@ NetExecConfig ideal_config() {
 /// MicroDeepHop events only (netexec additionally traces per-hop
 /// PacketTx/PacketRx, which the ideal executor does not model), sorted
 /// into canonical order so the two executors' event interleavings compare
-/// as multisets.
-std::vector<obs::TraceEvent> hop_events(const obs::Observability& o) {
-  std::vector<obs::TraceEvent> evs;
-  for (const obs::TraceEvent& e : o.trace().snapshot()) {
-    if (e.type == obs::TraceType::MicroDeepHop) evs.push_back(e);
+/// as multisets.  Record ids are cleared: they number each executor's own
+/// full interleaving, which differs by design.
+std::vector<obs::SpanEvent> hop_events(const obs::Observability& o) {
+  std::vector<obs::SpanEvent> evs;
+  for (std::size_t i = 0; i < o.trace().size(); ++i) {
+    obs::SpanEvent e = o.trace().at(i);
+    if (e.kind != obs::SpanKind::MicroDeepHop) continue;
+    e.id = 0;
+    evs.push_back(e);
   }
   std::sort(evs.begin(), evs.end(),
-            [](const obs::TraceEvent& a, const obs::TraceEvent& b) {
-              return std::tie(a.t, a.a, a.b, a.value) <
-                     std::tie(b.t, b.a, b.b, b.value);
+            [](const obs::SpanEvent& a, const obs::SpanEvent& b) {
+              return std::tie(a.t0, a.a, a.b, a.value) <
+                     std::tie(b.t0, b.a, b.b, b.value);
             });
   return evs;
 }
 
-/// FNV-1a over the canonical event list (bit-exact field encoding, the
-/// TraceRecorder::digest convention applied to the sorted view).
-std::uint64_t canonical_digest(const std::vector<obs::TraceEvent>& evs) {
+/// FNV-1a over the canonical event list: the point-event fields (time,
+/// kind, a, b, value) of the sorted view.
+std::uint64_t canonical_digest(const std::vector<obs::SpanEvent>& evs) {
   Fnv1a64 h;
-  for (const obs::TraceEvent& e : evs) {
-    const auto ty = static_cast<std::uint8_t>(e.type);
-    h.bytes(&e.t, sizeof(e.t))
-        .bytes(&ty, sizeof(ty))
-        .bytes(&e.a, sizeof(e.a))
-        .bytes(&e.b, sizeof(e.b))
-        .bytes(&e.value, sizeof(e.value));
+  for (const obs::SpanEvent& e : evs) {
+    h.bits(e.t0)
+        .word(static_cast<std::uint64_t>(e.kind))
+        .word(e.a)
+        .word(e.b)
+        .bits(e.value);
   }
   return h.value();
 }

@@ -10,7 +10,7 @@
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/sim_probe.hpp"
-#include "obs/trace.hpp"
+#include "obs/span.hpp"
 #include "sim/simulator.hpp"
 
 namespace zeiot::obs {
@@ -104,40 +104,58 @@ TEST(JsonWriter, EscapesAndNonFinite) {
   EXPECT_EQ(out.str(), "{\"s\":\"a\\\"b\\n\",\"inf\":null}");
 }
 
-TEST(TraceRecorder, RingWraparound) {
-  TraceRecorder rec(8);
+TEST(Trace, FullTraceKeepsFirstRecordsAndCountsDrops) {
+  Observability obs(8);
   for (std::uint32_t i = 0; i < 20; ++i) {
-    rec.record(static_cast<double>(i), TraceType::EventFired, i);
+    obs.trace().record(static_cast<double>(i), SpanKind::EventFired, i);
   }
+  const SpanRecorder& rec = obs.trace();
   EXPECT_EQ(rec.capacity(), 8u);
   EXPECT_EQ(rec.size(), 8u);
-  EXPECT_EQ(rec.recorded(), 20u);
   EXPECT_EQ(rec.dropped(), 12u);
-  // Oldest retained event is #12, newest #19.
-  EXPECT_EQ(rec.at(0).a, 12u);
-  EXPECT_EQ(rec.at(7).a, 19u);
-  const auto snap = rec.snapshot();
-  ASSERT_EQ(snap.size(), 8u);
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    EXPECT_EQ(snap[i].a, 12u + i);
+  // The first eight events are retained, each a zero-duration root with a
+  // dense id; the twelve newest are counted, not kept.
+  for (std::size_t i = 0; i < rec.size(); ++i) {
+    const SpanEvent& e = rec.at(i);
+    EXPECT_EQ(e.a, i);
+    EXPECT_EQ(e.id, i + 1);
+    EXPECT_EQ(e.t0, e.t1);
+    EXPECT_EQ(e.parent, 0u);
+    EXPECT_EQ(e.trace_id, 0u);
   }
+  std::ostringstream out;
+  Report("bench_x").write(out, obs.metrics(), &obs.trace());
+  EXPECT_NE(out.str().find("\"trace\":{\"recorded\":20,\"retained\":8,"
+                           "\"dropped\":12}"),
+            std::string::npos)
+      << out.str();
 }
 
-TEST(TraceRecorder, ExportJsonlOneLinePerEvent) {
-  TraceRecorder rec(4);
-  rec.record(0.5, TraceType::PacketTx, 1, 2, 3.0);
-  rec.record(1.0, TraceType::EnergyBoot, 7);
+TEST(Trace, DisabledTraceRecordsAndDropsNothing) {
+  Observability obs(0);
+  EXPECT_FALSE(obs.trace().enabled());
+  obs.trace().record(1.0, SpanKind::PacketTx, 3);
+  EXPECT_EQ(obs.trace().size(), 0u);
+  EXPECT_EQ(obs.trace().dropped(), 0u);
+}
+
+TEST(Trace, ExportJsonlOneLinePerEvent) {
+  SpanRecorder rec(4);
+  rec.record(0.5, SpanKind::PacketTx, 1, 2, 3.0);
+  rec.record(1.0, SpanKind::EnergyBoot, 7);
   std::ostringstream out;
   rec.export_jsonl(out);
   const std::string s = out.str();
-  EXPECT_NE(s.find("\"type\":\"packet_tx\""), std::string::npos);
-  EXPECT_NE(s.find("\"type\":\"energy_boot\""), std::string::npos);
+  EXPECT_NE(s.find("\"kind\":\"packet_tx\",\"t0\":0.5,\"t1\":0.5"),
+            std::string::npos)
+      << s;
+  EXPECT_NE(s.find("\"kind\":\"energy_boot\""), std::string::npos);
   EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 2);
 }
 
 // Runs a randomized simulator workload (schedules, cancels, nested
 // schedules) with a probe attached and returns the trace.
-std::vector<TraceEvent> traced_run(std::uint64_t seed) {
+std::vector<SpanEvent> traced_run(std::uint64_t seed) {
   Observability obs(1 << 12);
   SimulatorProbe probe(obs);
   sim::Simulator sim;
@@ -154,7 +172,11 @@ std::vector<TraceEvent> traced_run(std::uint64_t seed) {
   }
   for (std::size_t i = 0; i < ids.size(); i += 7) sim.cancel(ids[i]);
   sim.run();
-  return obs.trace().snapshot();
+  std::vector<SpanEvent> events;
+  for (std::size_t i = 0; i < obs.trace().size(); ++i) {
+    events.push_back(obs.trace().at(i));
+  }
+  return events;
 }
 
 TEST(TraceDeterminism, SameSeedSameTrace) {
@@ -170,7 +192,7 @@ TEST(TraceDeterminism, SameSeedSameTrace) {
 TEST(Report, WritesSchemaDocument) {
   Observability obs(4);
   obs.metrics().counter("sim.events.executed").inc(12.0);
-  obs.trace().record(1.0, TraceType::EventFired);
+  obs.trace().record(1.0, SpanKind::EventFired);
   std::ostringstream out;
   Report report("bench_x");
   report.write(out, obs.metrics(), &obs.trace());
@@ -471,54 +493,57 @@ TEST(MetricsRegistry, MergeIsSlotOrderIndependentForFleetShapes) {
   }
 }
 
-TEST(TraceRecorder, MergeAppendsThroughRingAndFoldsDrops) {
-  // Merge == replaying other's retained events in order; other's events
-  // already lost to wraparound stay lost but remain counted.
-  TraceRecorder a(8);
-  TraceRecorder b(4);
+TEST(Trace, MergeAppendsAndFoldsDrops) {
+  // Merge == recording other's retained events in order; other's events
+  // already dropped stay lost but remain counted.
+  SpanRecorder a(8);
+  SpanRecorder b(4);
   for (int i = 0; i < 3; ++i) {
-    a.record(static_cast<double>(i), TraceType::EventFired,
+    a.record(static_cast<double>(i), SpanKind::EventFired,
              static_cast<std::uint32_t>(i));
   }
-  for (int i = 0; i < 6; ++i) {  // wraps: retains 4, drops 2
-    b.record(10.0 + i, TraceType::PacketTx, static_cast<std::uint32_t>(i));
+  for (int i = 0; i < 6; ++i) {  // full after 4: retains 4, drops 2
+    b.record(10.0 + i, SpanKind::PacketTx, static_cast<std::uint32_t>(i));
   }
   ASSERT_EQ(b.size(), 4u);
   ASSERT_EQ(b.dropped(), 2u);
 
-  TraceRecorder manual(8);
+  SpanRecorder manual(8);
   for (int i = 0; i < 3; ++i) {
-    manual.record(static_cast<double>(i), TraceType::EventFired,
+    manual.record(static_cast<double>(i), SpanKind::EventFired,
                   static_cast<std::uint32_t>(i));
   }
   for (std::size_t i = 0; i < b.size(); ++i) {
-    const TraceEvent& e = b.at(i);
-    manual.record(e.t, e.type, e.a, e.b, e.value);
+    const SpanEvent& e = b.at(i);
+    manual.record(e.t0, e.kind, e.a, e.b, e.value);
   }
 
   a.merge(b);
   EXPECT_EQ(a.size(), 7u);
   EXPECT_EQ(a.digest(), manual.digest());
-  // recorded() folds b's drop count so merged dropped() stays truthful.
-  EXPECT_EQ(a.recorded(), 3u + 4u + 2u);
+  // dropped() folds b's drop count so the merged record stays truthful.
   EXPECT_EQ(a.dropped(), 0u + 2u);
+  // Merging past capacity drops the overflow as newest-first losses.
+  a.merge(b);
+  EXPECT_EQ(a.size(), 8u);
+  EXPECT_EQ(a.dropped(), 2u + 3u + 2u);
 }
 
-TEST(TraceRecorder, MergeOfDisjointSlotsIsOrderSensitiveButDeterministic) {
-  // The fleet contract is slot-ORDER merge, not order independence: trace
-  // rings are sequences.  Double-merging in the same order must be
+TEST(Trace, MergeOfDisjointSlotsIsOrderSensitiveButDeterministic) {
+  // The fleet contract is slot-ORDER merge, not order independence: traces
+  // are sequences.  Double-merging in the same order must be
   // byte-identical; a different order legitimately yields another digest.
   const auto build = [](std::uint64_t seed) {
-    TraceRecorder r(16);
+    SpanRecorder r(16);
     Rng rng(seed);
     for (int i = 0; i < 5; ++i) {
-      r.record(rng.uniform(0.0, 1.0), TraceType::EventFired,
+      r.record(rng.uniform(0.0, 1.0), SpanKind::EventFired,
                static_cast<std::uint32_t>(rng.uniform_int(0, 9)));
     }
     return r;
   };
-  const TraceRecorder x = build(1), y = build(2);
-  TraceRecorder ab(64), ab2(64), ba(64);
+  const SpanRecorder x = build(1), y = build(2);
+  SpanRecorder ab(64), ab2(64), ba(64);
   ab.merge(x);
   ab.merge(y);
   ab2.merge(x);
@@ -537,8 +562,8 @@ TEST(Observability, MergeFromCombinesMetricsTracesAndSpans) {
 
   dst.metrics().counter("m.count").inc(2.0);
   src.metrics().counter("m.count").inc(3.0);
-  dst.trace().record(0.5, TraceType::EventFired, 1);
-  src.trace().record(0.75, TraceType::PacketRx, 2);
+  dst.trace().record(0.5, SpanKind::EventFired, 1);
+  src.trace().record(0.75, SpanKind::PacketRx, 2);
   const SpanId root = src.spans().open(SpanKind::Inference, 0.0, 0, 42);
   src.spans().close(root, 1.0, 7.0);
 

@@ -21,6 +21,11 @@ violation so CI can gate on it:
     tiling [t0, t1]: the phase durations must sum to the root duration
     within one virtual tick (1 us).
 
+It also prints the point-event trace occupancy (the report's "trace"
+block: recorded / retained / dropped).  A full trace keeps its first
+records, so a non-zero drop count means the newest events are missing;
+that is a warning, not a failure.
+
 Usage:
     tools/obs_report.py <bench>.metrics.json [--spans <bench>.spans.jsonl]
 
@@ -97,6 +102,19 @@ def load_spans(path):
             seen_ids.add(s["id"])
             spans.append(s)
     return spans
+
+
+def report_trace(doc):
+    block = doc.get("trace")
+    if block is None:
+        return
+    recorded, retained, dropped = (block.get(k, 0) for k in
+                                   ("recorded", "retained", "dropped"))
+    print(f"{doc['bench']}: trace {recorded} recorded / {retained} "
+          f"retained / {dropped} dropped")
+    if dropped > 0:
+        print(f"obs_report: WARNING: trace dropped {dropped} events; the "
+              "newest are missing from the record", file=sys.stderr)
 
 
 def check_span_block(doc, spans, counters):
@@ -240,6 +258,7 @@ def main():
 
     doc = load_report(args.metrics)
     counters = doc["metrics"].get("counters", {})
+    report_trace(doc)
 
     if "spans" not in doc:
         print(f"{doc['bench']}: schema zeiot.obs.v2 OK, no spans recorded")

@@ -8,7 +8,7 @@ the tool contracts end to end:
     Python's banker's rounding;
   * a well-formed zeiot.obs.v2 report + spans JSONL validates (exit 0);
   * dropped spans, root-count mismatches, and phase-tiling violations each
-    fail with exit 1;
+    fail with exit 1, while a trace that dropped events only warns;
   * bench_compare accepts a zeiot.obs.v1 baseline against a v2 current,
     applies the inverted items_per_s polarity, and honors --warn-only.
 
@@ -146,6 +146,23 @@ class TestObsReportValidation(ReportFixtureMixin, unittest.TestCase):
         code, out = self.run_main(obs_report, [metrics])
         self.assertEqual(code, 0, out)
         self.assertIn("no spans recorded", out)
+
+    def test_trace_occupancy_printed_and_drops_only_warn(self):
+        spans = golden_spans()
+        doc = golden_v2_report(spans)
+        doc["trace"] = {"recorded": 20, "retained": 8, "dropped": 12}
+        metrics = self.write_report(doc, spans)
+        code, out = self.run_main(obs_report, [metrics])
+        self.assertEqual(code, 0, out)
+        self.assertIn("trace 20 recorded / 8 retained / 12 dropped", out)
+        self.assertIn("WARNING: trace dropped 12 events", out)
+
+        doc["trace"] = {"recorded": 8, "retained": 8, "dropped": 0}
+        metrics = self.write_report(doc, spans)
+        code, out = self.run_main(obs_report, [metrics])
+        self.assertEqual(code, 0, out)
+        self.assertIn("trace 8 recorded / 8 retained / 0 dropped", out)
+        self.assertNotIn("WARNING", out)
 
     def test_wrong_schema_fails(self):
         doc = golden_v2_report(golden_spans())
