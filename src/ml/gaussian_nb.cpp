@@ -46,10 +46,12 @@ void GaussianNaiveBayes::fit(const FeatureMatrix& x, const LabelVector& y) {
       var_[c * dim_ + j] += d * d;
     }
   }
+  log_norm_.assign(k * dim_, 0.0);
   for (std::size_t c = 0; c < k; ++c) {
     for (std::size_t j = 0; j < dim_; ++j) {
       var_[c * dim_ + j] = std::max(
           var_floor_, var_[c * dim_ + j] / static_cast<double>(counts[c]));
+      log_norm_[c * dim_ + j] = std::log(2.0 * M_PI * var_[c * dim_ + j]);
     }
   }
 }
@@ -65,7 +67,7 @@ std::vector<double> GaussianNaiveBayes::log_likelihoods(
     for (std::size_t j = 0; j < dim_; ++j) {
       const double v = var_[c * dim_ + j];
       const double d = row[j] - mean_[c * dim_ + j];
-      acc += -0.5 * (std::log(2.0 * M_PI * v) + d * d / v);
+      acc += -0.5 * (log_norm_[c * dim_ + j] + d * d / v);
     }
     ll[c] = acc;
   }

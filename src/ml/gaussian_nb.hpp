@@ -28,6 +28,7 @@ class GaussianNaiveBayes {
   std::vector<double> log_prior_;  // (K)
   std::vector<double> mean_;       // (K, D)
   std::vector<double> var_;        // (K, D)
+  std::vector<double> log_norm_;   // (K, D) log(2 pi var), fixed at fit
 };
 
 }  // namespace zeiot::ml

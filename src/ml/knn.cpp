@@ -2,57 +2,91 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace zeiot::ml {
 
+namespace {
+bool is_finite(double v) { return std::isfinite(v); }
+}  // namespace
+
 KnnClassifier::KnnClassifier(int k) : k_(k) {
   ZEIOT_CHECK_MSG(k > 0, "kNN requires k > 0");
 }
 
-void KnnClassifier::fit(FeatureMatrix x, LabelVector y) {
+void KnnClassifier::fit(const FeatureMatrix& x, LabelVector y) {
   ZEIOT_CHECK_MSG(!x.empty() && x.size() == y.size(),
                   "kNN fit requires aligned non-empty x/y");
   const std::size_t d = x.front().size();
+  std::vector<double> flat;
+  flat.reserve(x.size() * d);
   int mx = 0;
   for (std::size_t i = 0; i < x.size(); ++i) {
     ZEIOT_CHECK_MSG(x[i].size() == d, "ragged feature matrix");
     ZEIOT_CHECK_MSG(y[i] >= 0, "labels must be >= 0");
+    ZEIOT_CHECK_MSG(std::all_of(x[i].begin(), x[i].end(), is_finite),
+                    "kNN training row " << i << " has a non-finite feature");
+    flat.insert(flat.end(), x[i].begin(), x[i].end());
     mx = std::max(mx, y[i]);
   }
-  x_ = std::move(x);
+  dim_ = d;
+  x_ = std::move(flat);
   y_ = std::move(y);
   num_classes_ = mx + 1;
 }
 
 int KnnClassifier::predict(const std::vector<double>& row) const {
-  ZEIOT_CHECK_MSG(!x_.empty(), "kNN predict before fit");
-  ZEIOT_CHECK_MSG(row.size() == x_.front().size(), "feature count mismatch");
-  // Partial selection of the k smallest distances.  Keys are (d^2, training
-  // index): breaking distance ties by index makes the neighbor set — and
-  // therefore the prediction — independent of the (unstable) partial_sort
-  // implementation when several training points are equidistant.
-  std::vector<std::pair<double, std::size_t>> dist;  // (d^2, index)
-  dist.reserve(x_.size());
-  for (std::size_t i = 0; i < x_.size(); ++i) {
-    double d2 = 0.0;
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      const double dv = row[j] - x_[i][j];
-      d2 += dv * dv;
+  ZEIOT_CHECK_MSG(!y_.empty(), "kNN predict before fit");
+  ZEIOT_CHECK_MSG(row.size() == dim_, "feature count mismatch");
+  ZEIOT_CHECK_MSG(std::all_of(row.begin(), row.end(), is_finite),
+                  "kNN query has a non-finite feature");
+  // nearest[] holds the k smallest (d², index) keys so far, ascending; a
+  // row ties behind held keys of equal d².  Nothing is abandoned until k
+  // keys are held.  A group past the last row repeats it; repeats drop.
+  const std::size_t n = y_.size();
+  const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(k_), n);
+  const auto at = [&](std::size_t i) {
+    return x_.data() + std::min(i, n - 1) * dim_;
+  };
+  const auto sq = [](double dv) { return dv * dv; };
+  std::vector<std::pair<double, std::size_t>> nearest;
+  nearest.reserve(k);
+  for (std::size_t i = 0; i < n; i += 4) {
+    const double bound = nearest.size() == k
+                             ? nearest.back().first
+                             : std::numeric_limits<double>::infinity();
+    const double *r0 = at(i), *r1 = at(i + 1), *r2 = at(i + 2), *r3 = at(i + 3);
+    double d2[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t j = 0; j < dim_;) {
+      for (const std::size_t end = std::min(dim_, j + kAbandonBlock); j < end;
+           ++j) {
+        d2[0] += sq(row[j] - r0[j]);
+        d2[1] += sq(row[j] - r1[j]);
+        d2[2] += sq(row[j] - r2[j]);
+        d2[3] += sq(row[j] - r3[j]);
+      }
+      if (*std::min_element(d2, d2 + 4) > bound) break;
     }
-    dist.emplace_back(d2, i);
+    for (std::size_t g = 0; g < 4 && i + g < n; ++g) {
+      if (nearest.size() == k) {
+        if (d2[g] >= nearest.back().first) continue;
+        nearest.pop_back();
+      }
+      auto pos = nearest.end();
+      while (pos != nearest.begin() && std::prev(pos)->first > d2[g]) --pos;
+      nearest.insert(pos, {d2[g], i + g});
+    }
   }
-  const std::size_t k = std::min<std::size_t>(static_cast<std::size_t>(k_),
-                                              dist.size());
-  std::partial_sort(dist.begin(), dist.begin() + static_cast<long>(k),
-                    dist.end());
   std::vector<int> votes(static_cast<std::size_t>(num_classes_), 0);
   std::vector<double> vote_dist(static_cast<std::size_t>(num_classes_), 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto label = static_cast<std::size_t>(y_[dist[i].second]);
+  for (const auto& [d2, i] : nearest) {
+    const auto label = static_cast<std::size_t>(y_[i]);
     ++votes[label];
-    vote_dist[label] += dist[i].first;
+    vote_dist[label] += d2;
   }
   int best = 0;
   for (int c = 1; c < num_classes_; ++c) {

@@ -52,6 +52,64 @@ double people_for_level(const TrainConfig& cfg, Congestion lvl) {
   return cfg.people_medium;
 }
 
+/// Calls fn(user, features) for every user in index order; each user's
+/// crowd proxies read only its own estimated car's bucket.
+template <typename Fn>
+void for_each_user_features(const TrainScenario& sc,
+                            const std::vector<PositionEstimate>& pos,
+                            int num_cars, Fn&& fn) {
+  ZEIOT_CHECK_MSG(pos.size() == sc.user_positions.size(),
+                  "one position estimate per user required");
+  std::vector<std::vector<std::size_t>> by_car(
+      static_cast<std::size_t>(num_cars));
+  for (std::size_t u = 0; u < pos.size(); ++u)
+    by_car[static_cast<std::size_t>(pos[u].car)].push_back(u);
+  std::vector<double> readings, f;
+  for (std::size_t user = 0; user < pos.size(); ++user) {
+    // Crowd proxies local to the user's estimated car: attenuation among
+    // peers in the same estimated car plus peer count.  Peers whose own
+    // position estimate is shaky are excluded, and the median (not the
+    // mean) is used, so a misplaced cross-door peer with a hugely
+    // attenuated link cannot poison the feature.
+    const int car = pos[user].car;
+    const auto& peers = by_car[static_cast<std::size_t>(car)];
+    readings.clear();
+    for (const std::size_t v : peers) {
+      if (v == user || pos[v].confidence < 0.6) continue;
+      readings.push_back(sc.user_user_rssi[user][v]);
+    }
+    // No same-car peer is itself evidence of an *empty* car, so the
+    // sentinel must resemble an unattenuated close-range reading, not a
+    // crowded one.
+    double mean = -45.0;
+    double var = 0.0;
+    if (!readings.empty()) {
+      std::sort(readings.begin(), readings.end());
+      mean = readings[readings.size() / 2];  // median
+      double s = 0.0, s2 = 0.0;
+      for (double r : readings) {
+        s += r;
+        s2 += r * r;
+      }
+      const double m = s / static_cast<double>(readings.size());
+      var = std::max(0.0, s2 / static_cast<double>(readings.size()) - m * m);
+    }
+    // Reference attenuation within the estimated car (skip scan misses).
+    double ref_sum = 0.0;
+    int ref_n = 0;
+    for (std::size_t r = 0; r < sc.ref_positions.size(); ++r) {
+      if (sc.ref_car[r] != car) continue;
+      if (sc.user_ref_rssi[user][r] <= -99.0) continue;  // scan miss
+      ref_sum += sc.user_ref_rssi[user][r];
+      ++ref_n;
+    }
+    const double ref_mean = ref_n > 0 ? ref_sum / ref_n : -60.0;
+    f.assign({mean, std::sqrt(var), static_cast<double>(peers.size() - 1),
+              ref_mean});
+    fn(user, f);
+  }
+}
+
 }  // namespace
 
 TrainScenario simulate_trip(const TrainConfig& cfg,
@@ -173,51 +231,6 @@ std::vector<PositionEstimate> estimate_positions(const TrainConfig& cfg,
 
 CongestionEstimator::CongestionEstimator(TrainConfig cfg) : cfg_(cfg) {}
 
-std::vector<double> CongestionEstimator::user_features(
-    const TrainScenario& sc, std::size_t user,
-    const std::vector<PositionEstimate>& pos) {
-  // Crowd proxies local to the user's estimated car: attenuation among
-  // peers in the same estimated car plus peer count.  Peers whose own
-  // position estimate is shaky are excluded, and the median (not the
-  // mean) is used, so a misplaced cross-door peer with a hugely
-  // attenuated link cannot poison the feature.
-  const int car = pos[user].car;
-  std::vector<double> readings;
-  int peers = 0;
-  for (std::size_t v = 0; v < sc.user_positions.size(); ++v) {
-    if (v == user || pos[v].car != car) continue;
-    ++peers;
-    if (pos[v].confidence < 0.6) continue;
-    readings.push_back(sc.user_user_rssi[user][v]);
-  }
-  // No same-car peer is itself evidence of an *empty* car, so the sentinel
-  // must resemble an unattenuated close-range reading, not a crowded one.
-  double mean = -45.0;
-  double var = 0.0;
-  if (!readings.empty()) {
-    std::sort(readings.begin(), readings.end());
-    mean = readings[readings.size() / 2];  // median
-    double s = 0.0, s2 = 0.0;
-    for (double r : readings) {
-      s += r;
-      s2 += r * r;
-    }
-    const double m = s / static_cast<double>(readings.size());
-    var = std::max(0.0, s2 / static_cast<double>(readings.size()) - m * m);
-  }
-  // Reference attenuation within the estimated car (skip scan misses).
-  double ref_sum = 0.0;
-  int ref_n = 0;
-  for (std::size_t r = 0; r < sc.ref_positions.size(); ++r) {
-    if (sc.ref_car[r] != car) continue;
-    if (sc.user_ref_rssi[user][r] <= -99.0) continue;  // scan miss
-    ref_sum += sc.user_ref_rssi[user][r];
-    ++ref_n;
-  }
-  const double ref_mean = ref_n > 0 ? ref_sum / ref_n : -60.0;
-  return {mean, std::sqrt(var), static_cast<double>(peers), ref_mean};
-}
-
 void CongestionEstimator::train(int trips_per_level, Rng& rng) {
   ZEIOT_CHECK_MSG(trips_per_level > 0, "need training trips");
   ml::FeatureMatrix x;
@@ -228,10 +241,11 @@ void CongestionEstimator::train(int trips_per_level, Rng& rng) {
                                      static_cast<Congestion>(lvl));
       const TrainScenario sc = simulate_trip(cfg_, levels, rng);
       const auto pos = estimate_positions(cfg_, sc);
-      for (std::size_t u = 0; u < sc.user_positions.size(); ++u) {
-        x.push_back(user_features(sc, u, pos));
-        y.push_back(lvl);
-      }
+      for_each_user_features(sc, pos, cfg_.num_cars,
+                             [&](std::size_t, const std::vector<double>& f) {
+                               x.push_back(f);
+                               y.push_back(lvl);
+                             });
     }
   }
   nb_.fit(x, y);
@@ -243,14 +257,14 @@ std::vector<Congestion> CongestionEstimator::estimate(
   ZEIOT_CHECK_MSG(trained_, "CongestionEstimator::train first");
   std::vector<std::vector<double>> votes(
       static_cast<std::size_t>(cfg_.num_cars), std::vector<double>(3, 0.0));
-  for (std::size_t u = 0; u < sc.user_positions.size(); ++u) {
-    const auto f = user_features(sc, u, pos);
-    const int lvl = nb_.predict(f);
-    // Reliability-weighted vote (paper: weighted majority voting by the
-    // reliability of the position estimate).
-    votes[static_cast<std::size_t>(pos[u].car)][static_cast<std::size_t>(lvl)] +=
-        pos[u].confidence;
-  }
+  for_each_user_features(
+      sc, pos, cfg_.num_cars, [&](std::size_t u, const std::vector<double>& f) {
+        const int lvl = nb_.predict(f);
+        // Reliability-weighted vote (paper: weighted majority voting by the
+        // reliability of the position estimate).
+        votes[static_cast<std::size_t>(pos[u].car)]
+             [static_cast<std::size_t>(lvl)] += pos[u].confidence;
+      });
   std::vector<Congestion> out;
   for (int c = 0; c < cfg_.num_cars; ++c) {
     const auto& v = votes[static_cast<std::size_t>(c)];

@@ -12,6 +12,12 @@
 // positions, and (b) the car's congestion level, by majority voting of
 // per-user local estimates weighted by the reliability (posterior
 // confidence) of the position estimate.
+//
+// Cost: train() and estimate() bucket a scenario's users by estimated car
+// once, and one feature routine reads only the user's own bucket, so a
+// user's features cost O(users in its car) rather than O(all users).  Peer
+// order within a bucket is ascending user index, which keeps the median
+// and moment sums, and so every estimate, bit-identical to a full scan.
 #pragma once
 
 #include <vector>
@@ -105,11 +111,6 @@ class CongestionEstimator {
                                    const std::vector<PositionEstimate>& pos) const;
 
  private:
-  /// Per-user local feature vector (crowd proxies from its measurements).
-  static std::vector<double> user_features(const TrainScenario& sc,
-                                           std::size_t user,
-                                           const std::vector<PositionEstimate>& pos);
-
   TrainConfig cfg_;
   ml::GaussianNaiveBayes nb_;
   bool trained_ = false;

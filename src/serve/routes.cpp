@@ -30,6 +30,10 @@ constexpr std::uint64_t kE4Key = 0x5E10E104;
 constexpr std::uint64_t kE5TrainKey = 0x5E10E105;
 constexpr std::uint64_t kE5PoolKey = 0x5E10E106;
 constexpr int kE5KnnK = 3;
+// E5 items per parallel_for chunk: a batch this size or smaller is one
+// chunk and runs inline, since waking the pool costs more than a few kNN
+// queries (serve_mix averages about 2 items per E5 batch).
+constexpr std::size_t kE5Grain = 8;
 
 /// Jittered deployments of one CNN route: structurally distinct topologies
 /// over the same area/grid, each a distinct plan-cache key.  Variant
@@ -238,7 +242,7 @@ std::vector<int> RouteSet::execute(Route r,
       par::parallel_for(
           samples.size(),
           [&](std::size_t i) { labels[i] = e5_knn.predict(e5_pool[samples[i]]); },
-          cfg.pool);
+          cfg.pool, kE5Grain);
       break;
     }
   }

@@ -104,5 +104,15 @@ TEST(Localization, RunAllPatternsReturnsSix) {
   EXPECT_EQ(all.size(), 6u);
 }
 
+// Pinned before the kNN moved to flat storage with early abandon: the
+// neighbour sets, and so the accuracy, must stay bit-identical.
+TEST(PinnedDigest, LocalizationDefaultConfig) {
+  const auto res =
+      run_localization(phy::CsiEnvironment{},
+                       {Behavior::Static, AntennaConfig::Divergent},
+                       LocalizationConfig{});
+  EXPECT_EQ(res.accuracy, 0.94444444444444442);
+}
+
 }  // namespace
 }  // namespace zeiot::sensing::csi

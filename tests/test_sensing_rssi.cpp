@@ -246,5 +246,14 @@ TEST(Choco, RoundCoversGridDeployment) {
   for (int slot : r.reception_slot) EXPECT_GE(slot, 0);
 }
 
+// Pinned before the E3 per-car bucketing and the precomputed naive-Bayes
+// normalisers: both must leave every estimate bit-identical.
+TEST(PinnedDigest, TrainPipelineDefaultConfig) {
+  Rng rng(2019);
+  const auto res = evaluate_train_pipeline(TrainConfig{}, 12, 200, rng);
+  EXPECT_EQ(res.congestion_macro_f1, 0.82116362898870676);
+  EXPECT_EQ(res.position_accuracy, 0.87018856163316194);
+}
+
 }  // namespace
 }  // namespace zeiot::sensing::rssi

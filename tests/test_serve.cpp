@@ -18,6 +18,7 @@
 
 #include <memory>
 
+#include "common/digest.hpp"
 #include "microdeep/comm_cost.hpp"
 #include "microdeep/search.hpp"
 #include "par/thread_pool.hpp"
@@ -398,6 +399,42 @@ TEST(Metrics, ServeCountersAndSloGaugesMatchReport) {
             rep.latency_quantile(Route::E4RoomCount, 0.99));
   EXPECT_EQ(m.gauge_value("serve.slo.e4_room_count.p50_s"),
             rep.latency_quantile(Route::E4RoomCount, 0.50));
+}
+
+// Label identity of the fixture routes, pinned before the kNN, naive-Bayes
+// and E3 estimators were optimised: any change to a served label, to the
+// batching it rides in or to the report encoding moves one of these.
+TEST(PinnedDigest, FixtureServeRunOneThread) {
+  RouteSet& routes = shared_routes();
+  par::ThreadPool one(1);
+  routes.set_pool(&one);
+  const auto reqs = generate_workload(test_workload(2000), routes);
+  const std::uint64_t d = Server(&routes, test_config()).run(reqs).digest();
+  routes.set_pool(nullptr);
+  EXPECT_EQ(d, 0xcefd4ea583f992adULL);
+}
+
+std::uint64_t whole_pool_label_digest(Route r) {
+  RouteSet& routes = shared_routes();
+  std::vector<std::uint32_t> samples(routes.pool_size(r));
+  for (std::size_t i = 0; i < samples.size(); ++i)
+    samples[i] = static_cast<std::uint32_t>(i);
+  Fnv1a64 h;
+  for (const int label : routes.execute(r, samples))
+    h.word(static_cast<std::uint64_t>(label));
+  return h.value();
+}
+
+TEST(PinnedDigest, FixtureRouteLabels) {
+  RouteSet& routes = shared_routes();
+  ASSERT_EQ(routes.pool_size(Route::E3Congestion), 8u);
+  ASSERT_EQ(routes.pool_size(Route::E4RoomCount), 16u);
+  ASSERT_EQ(routes.pool_size(Route::E5Csi), 28u);
+  EXPECT_EQ(whole_pool_label_digest(Route::E3Congestion),
+            0xfd5cf3f2fb714ef6ULL);
+  EXPECT_EQ(whole_pool_label_digest(Route::E4RoomCount),
+            0x5ff06471fbc03885ULL);
+  EXPECT_EQ(whole_pool_label_digest(Route::E5Csi), 0x770fd792731e7c43ULL);
 }
 
 }  // namespace
