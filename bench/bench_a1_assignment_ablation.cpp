@@ -12,6 +12,7 @@
 #include "microdeep/comm_cost.hpp"
 #include "microdeep/executor.hpp"
 #include "microdeep/search.hpp"
+#include "netexec/netexec.hpp"
 
 using namespace zeiot;
 using namespace zeiot::microdeep;
@@ -77,7 +78,9 @@ void ablate(const std::string& workload, const ml::Network& net,
 
 int main() {
   std::cout << "=== A1: assignment-strategy ablation ===\n";
-  obs::Observability obs;
+  // The heuristic row's netexec runs trace every hop (about 16k records),
+  // so the trace gets room for all of them.
+  obs::Observability obs(1u << 15);
   Table t({"workload", "assignment", "max cost", "mean cost",
            "max units/node", "cross edges"});
 
@@ -102,6 +105,8 @@ int main() {
 
   // Inference-latency ablation: the second benefit of distribution — a
   // sink executes every unit serially, spread units run in parallel.
+  // Latency comes from netexec over a lossless fixed-latency channel, so it
+  // includes per-node radio and CPU serialization.
   std::cout << "\n--- inference latency (E1 geometry, per assignment) ---\n";
   Table lt({"assignment", "radio-bound (2 ms/hop, 0.1 ms/unit)",
             "compute-bound (0.5 ms/hop, 1 ms/unit)"});
@@ -117,10 +122,15 @@ int main() {
     for (std::size_t i = 0; i < sample.size(); ++i) {
       sample[i] = static_cast<float>(srng.uniform(-1.0, 1.0));
     }
-    LatencyModel radio_bound;  // defaults: 2 ms/hop, 0.1 ms/unit
-    LatencyModel compute_bound;
-    compute_bound.hop_latency_s = 0.5e-3;
-    compute_bound.unit_compute_s = 1e-3;
+    auto regime = [](double hop_latency_s, double unit_compute_s) {
+      netexec::NetExecConfig cfg;
+      cfg.channel = netexec::ChannelConfig::ideal();
+      cfg.channel.fixed_hop_latency_s = hop_latency_s;
+      cfg.unit_compute_s = unit_compute_s;
+      return cfg;
+    };
+    netexec::NetExecConfig radio_bound = regime(2e-3, 100e-6);
+    netexec::NetExecConfig compute_bound = regime(0.5e-3, 1e-3);
     struct Row {
       const char* name;
       Assignment a;
@@ -130,16 +140,20 @@ int main() {
     rows.push_back({"nearest", assign_nearest(g, wsn)});
     rows.push_back({"heuristic", assign_balanced_heuristic(g, wsn)});
     for (const auto& row : rows) {
-      const bool heuristic = std::string(row.name) == "heuristic";
-      const auto rb = execute_distributed(net, g, row.a, wsn, sample,
-                                          radio_bound,
-                                          heuristic ? &obs : nullptr);
-      const auto cb = execute_distributed(net, g, row.a, wsn, sample,
-                                          compute_bound,
-                                          heuristic ? &obs : nullptr);
-      lt.add_row({row.name,
-                  Table::num(rb.inference_latency_s * 1e3, 1) + " ms",
-                  Table::num(cb.inference_latency_s * 1e3, 1) + " ms"});
+      // Only the heuristic row publishes metrics and trace records.
+      obs::Observability* row_obs =
+          std::string(row.name) == "heuristic" ? &obs : nullptr;
+      if (row_obs != nullptr) {
+        (void)execute_distributed(net, g, row.a, wsn, sample, row_obs);
+      }
+      radio_bound.obs = compute_bound.obs = row_obs;
+      const auto rb =
+          netexec::NetworkExecutor(net, g, row.a, wsn, radio_bound).run(sample);
+      const auto cb = netexec::NetworkExecutor(net, g, row.a, wsn,
+                                               compute_bound)
+                          .run(sample);
+      lt.add_row({row.name, Table::num(rb.latency_s * 1e3, 1) + " ms",
+                  Table::num(cb.latency_s * 1e3, 1) + " ms"});
     }
   }
   lt.print(std::cout);

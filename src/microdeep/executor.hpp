@@ -1,47 +1,30 @@
-// Distributed forward-pass executor: runs inference the way the deployed
-// system would — each unit computed on its assigned node from activations
-// that arrive as messages over the WSN — rather than as centralized tensor
-// ops.
+// Ideal distributed forward pass: the logits oracle of the MicroDeep
+// conformance suite.  It runs inference the way the deployed system would —
+// each unit computed on its assigned node from activations that arrive as
+// messages over the WSN — rather than as centralized tensor ops, but every
+// message arrives instantly and intact.
 //
-// Two purposes:
-//  1. *Validation*: the per-unit dataflow over the unit graph must
-//     reproduce ml::Network::forward exactly; any divergence means the
-//     unit graph's edges do not match the layers' real dependencies (the
-//     test suite asserts equality to float precision).
-//  2. *Latency*: a timing model exposing the second benefit of
-//     distribution the paper implies: a sink node must compute every unit
-//     sequentially, while spread units compute in parallel across nodes,
-//     so the distributed assignment wins on inference latency as well as
-//     on peak traffic.
+// Contract: the logits equal ml::Network::forward on the sample up to float
+// summation order (the tensor kernels sum in a different order; any larger
+// divergence means the unit graph's edges do not match the layers' real
+// dependencies), and are bit-identical to netexec::NetworkExecutor over
+// ChannelConfig::ideal(), with the same deduplicated message set and
+// MicroDeepHop multiset.  Latency, loss and message faults are modelled
+// only in netexec (netexec/netexec.hpp).
 #pragma once
 
-#include "fault/injector.hpp"
 #include "microdeep/assignment.hpp"
 #include "ml/network.hpp"
 #include "obs/obs.hpp"
 
 namespace zeiot::microdeep {
 
-struct LatencyModel {
-  /// One-hop transfer time of one activation message.
-  double hop_latency_s = 2e-3;
-  /// Compute time of one unit on a sensor-node MCU.
-  double unit_compute_s = 100e-6;
-};
-
 struct ExecutionResult {
   /// Logits, shape (1, K) — must equal Network::forward on the sample.
   ml::Tensor output;
-  /// End-to-end inference latency under the timing model: message
-  /// arrivals over load-oblivious shortest paths plus per-node serial
-  /// execution of its units.
-  double inference_latency_s = 0.0;
   /// Cross-node activation messages of the forward pass (deduplicated per
   /// (producer unit, consumer node), unicast accounting).
   double total_messages = 0.0;
-  /// Of those, messages lost to injected drop/corrupt windows (the
-  /// receivers substituted missing data).  Zero without an injector.
-  double messages_faulted = 0.0;
 };
 
 /// Executes one (C,H,W) sample through `net` using only the unit-graph
@@ -50,26 +33,13 @@ struct ExecutionResult {
 ///
 /// When `obs` is non-null the walk emits per-node activation-message
 /// counters (microdeep.exec.messages, microdeep.exec.node_messages{node=N},
-/// microdeep.exec.max_messages_per_node gauge), a latency summary
-/// (microdeep.exec.latency_s) and one MicroDeepHop trace event per
-/// cross-node message (a = source node, b = destination node, value = hop
-/// count).
-///
-/// When `fault` is non-null each cross-node message is checked once against
-/// the injector at plan time `fault_time` (the simulation instant of this
-/// inference): a dropped or corrupted message contributes nothing at the
-/// consumer (missing-data semantics, mirroring mask_dead_inputs), and
-/// MessageDelay windows stretch the per-hop latency.  The decision is
-/// cached per (producer unit, consumer node) so every consumer on one node
-/// sees the same outcome, exactly like the message itself is deduplicated.
-/// With a null injector the result is bit-identical to the un-faulted path.
+/// microdeep.exec.max_messages_per_node gauge) and one MicroDeepHop trace
+/// event per cross-node message at t = 0 (a = source node, b = destination
+/// node, value = hop count).
 ExecutionResult execute_distributed(ml::Network& net, const UnitGraph& graph,
                                     const Assignment& assignment,
                                     const WsnTopology& wsn,
                                     const ml::Tensor& sample,
-                                    const LatencyModel& lat = {},
-                                    obs::Observability* obs = nullptr,
-                                    fault::FaultInjector* fault = nullptr,
-                                    double fault_time = 0.0);
+                                    obs::Observability* obs = nullptr);
 
 }  // namespace zeiot::microdeep

@@ -1,7 +1,6 @@
 #include "microdeep/unit_compute.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace zeiot::microdeep {
@@ -12,13 +11,8 @@ inline bool wanted(const UnitComputeHooks& hooks, UnitId u) {
   return hooks.unit_filter == nullptr || (*hooks.unit_filter)(u);
 }
 
-inline bool is_lost(const UnitComputeHooks& hooks, UnitId src, UnitId dst) {
-  return hooks.lost && hooks.lost(src, dst);
-}
-
-inline void visit(const UnitComputeHooks& hooks, UnitId src, UnitId dst,
-                  bool lost) {
-  if (hooks.visited) hooks.visited(src, dst, lost);
+inline void visit(const UnitComputeHooks& hooks, UnitId src, UnitId dst) {
+  if (hooks.visited) hooks.visited(src, dst);
 }
 
 }  // namespace
@@ -57,18 +51,15 @@ void compute_unit_layer(ml::Layer& layer, const UnitGraph& graph,
           const int kx = sx - ox + p;
           ZEIOT_CHECK(ky >= 0 && ky < conv->kernel() && kx >= 0 &&
                       kx < conv->kernel());
-          const bool lost = is_lost(hooks, src, u);
-          if (!lost) {
-            for (int oc = 0; oc < out.channels; ++oc) {
-              float dot = 0.0f;
-              for (int ic = 0; ic < in.channels; ++ic) {
-                dot += w.at({oc, ic, ky, kx}) *
-                       acts[src][static_cast<std::size_t>(ic)];
-              }
-              acc[static_cast<std::size_t>(oc)] += dot;
+          for (int oc = 0; oc < out.channels; ++oc) {
+            float dot = 0.0f;
+            for (int ic = 0; ic < in.channels; ++ic) {
+              dot += w.at({oc, ic, ky, kx}) *
+                     acts[src][static_cast<std::size_t>(ic)];
             }
+            acc[static_cast<std::size_t>(oc)] += dot;
           }
-          visit(hooks, src, u, lost);
+          visit(hooks, src, u);
         }
       }
     }
@@ -86,22 +77,12 @@ void compute_unit_layer(ml::Layer& layer, const UnitGraph& graph,
               src >= in.first_unit + static_cast<UnitId>(in.num_units())) {
             continue;
           }
-          const bool lost = is_lost(hooks, src, u);
-          if (!lost) {
-            for (int c = 0; c < out.channels; ++c) {
-              acc[static_cast<std::size_t>(c)] =
-                  std::max(acc[static_cast<std::size_t>(c)],
-                           acts[src][static_cast<std::size_t>(c)]);
-            }
+          for (int c = 0; c < out.channels; ++c) {
+            acc[static_cast<std::size_t>(c)] =
+                std::max(acc[static_cast<std::size_t>(c)],
+                         acts[src][static_cast<std::size_t>(c)]);
           }
-          visit(hooks, src, u, lost);
-        }
-        if (hooks.substitute_missing) {
-          // Every input lost: substitute a neutral (zero) activation
-          // instead of propagating -inf.
-          for (float& v : acc) {
-            if (v == -std::numeric_limits<float>::infinity()) v = 0.0f;
-          }
+          visit(hooks, src, u);
         }
       }
     }
@@ -115,18 +96,14 @@ void compute_unit_layer(ml::Layer& layer, const UnitGraph& graph,
       acts[u].assign(1, b[static_cast<std::size_t>(o)]);
       for (int s = 0; s < in.num_units(); ++s) {
         const UnitId src = in.first_unit + static_cast<UnitId>(s);
-        const bool lost = is_lost(hooks, src, u);
-        if (!lost) {
-          // Flatten order is NCHW: feature index = ic*H*W + (y*W + x).
-          float dot = 0.0f;
-          for (int ic = 0; ic < in.channels; ++ic) {
-            const int feature = ic * in.num_units() + s;
-            dot += w.at({o, feature}) *
-                   acts[src][static_cast<std::size_t>(ic)];
-          }
-          acts[u][0] += dot;
+        // Flatten order is NCHW: feature index = ic*H*W + (y*W + x).
+        float dot = 0.0f;
+        for (int ic = 0; ic < in.channels; ++ic) {
+          const int feature = ic * in.num_units() + s;
+          dot += w.at({o, feature}) * acts[src][static_cast<std::size_t>(ic)];
         }
-        visit(hooks, src, u, lost);
+        acts[u][0] += dot;
+        visit(hooks, src, u);
       }
     }
   } else {

@@ -1,13 +1,15 @@
 // Shared per-unit arithmetic of the distributed forward pass.
 //
-// Both MicroDeep executors — the ideal in-memory walk
+// Both MicroDeep executors — the ideal logits oracle
 // (microdeep/executor.hpp) and the network-in-the-loop event simulation
 // (netexec/netexec.hpp) — compute layer activations through these kernels.
 // The loops here define the *canonical evaluation order* (output units in
 // row-major order, inputs in graph-neighbour / feature order), so any two
 // executors that feed the same input activations produce bit-identical
 // floats: the conformance suite relies on this to assert that a zero-loss
-// zero-latency channel reproduces the ideal executor exactly.
+// zero-latency channel reproduces the oracle exactly.  Every input is
+// applied; an executor that models loss (netexec) substitutes last-known
+// values into `acts` before calling in.
 #pragma once
 
 #include <functional>
@@ -22,20 +24,12 @@ namespace zeiot::microdeep {
 using ActTable = std::vector<std::vector<float>>;
 
 /// Hooks threaded through the layer walk so each executor keeps its own
-/// message accounting without duplicating the arithmetic.  All callbacks
-/// may be empty (treated as "never lost" / no-op).
+/// message accounting without duplicating the arithmetic.  Both may be
+/// empty (no-op / every unit).
 struct UnitComputeHooks {
-  /// True when `src`'s activation never reached `dst`'s executor; the
-  /// contribution is then skipped (missing-data semantics).  Called once
-  /// per (input unit, consumer unit) pair, in canonical order — fault
-  /// injectors that consume RNG on this path stay reproducible.
-  std::function<bool(UnitId src, UnitId dst)> lost;
-  /// Called after each (input, consumer) contribution was applied or
-  /// skipped — the arrival-time / message-dedup hook of the ideal executor.
-  std::function<void(UnitId src, UnitId dst, bool lost)> visited;
-  /// Replace -inf pool outputs (every input lost) by 0 so missing data
-  /// never propagates non-finite values.  Enable whenever `lost` can fire.
-  bool substitute_missing = false;
+  /// Called after each (input, consumer) contribution was applied, once per
+  /// pair in canonical order — the message-dedup hook of the ideal executor.
+  std::function<void(UnitId src, UnitId dst)> visited;
   /// When non-null, only units for which the predicate returns true are
   /// computed (netexec computes one node's share of a layer at a time; the
   /// per-unit arithmetic is independent, so any partition of a layer

@@ -1,10 +1,11 @@
 // Network-in-the-loop MicroDeep execution (paper Sec. IV.A / IV.C).
 //
-// The ideal executor (microdeep/executor.hpp) delivers activations by
-// assumption: every cross-node message arrives after hop_latency_s * hops,
-// never lost, never queued.  NetworkExecutor closes that gap — it lowers
-// the same per-(producer unit, consumer node) message set into timestamped
-// frames forwarded hop by hop inside sim::Simulator, with
+// The ideal executor (microdeep/executor.hpp) is a logits oracle: every
+// cross-node message arrives instantly, never lost, never queued, and it
+// has no notion of time.  NetworkExecutor is the one latency and fault
+// model of distributed inference — it lowers the same per-(producer unit,
+// consumer node) message set into timestamped frames forwarded hop by hop
+// inside sim::Simulator, with
 //  * per-hop airtime from phy::Dot154Phy (or a fixed override),
 //  * per-node radio/CPU serialization,
 //  * loss, retry/timeout/exponential backoff, and per-frame abandonment,

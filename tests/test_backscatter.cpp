@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "backscatter/bmac.hpp"
 #include "backscatter/coexistence.hpp"
@@ -174,11 +175,18 @@ TEST(Coexistence, WlanGoodputScalesWithLoad) {
 
 // Property sweep: delivery ratio stays within [0,1] and counters stay
 // consistent across a grid of loads and fleet sizes, both modes.
+// gtest names each case by dumping the parameter's bytes, so the struct
+// must have no padding: `reserved` fills the gap after `mode`, which
+// keeps the case names the same from one run to the next.
 struct CoexParam {
   MacMode mode;
+  std::uint32_t reserved;
   double rate;
   std::size_t devices;
 };
+static_assert(sizeof(CoexParam) == sizeof(MacMode) + sizeof(std::uint32_t) +
+                                       sizeof(double) + sizeof(std::size_t),
+              "padding bytes would make the case names vary between runs");
 
 class CoexistenceSweep : public ::testing::TestWithParam<CoexParam> {};
 
@@ -201,12 +209,12 @@ TEST_P(CoexistenceSweep, InvariantsHold) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, CoexistenceSweep,
-    ::testing::Values(CoexParam{MacMode::Proposed, 2.0, 2},
-                      CoexParam{MacMode::Proposed, 50.0, 8},
-                      CoexParam{MacMode::Proposed, 500.0, 16},
-                      CoexParam{MacMode::Naive, 2.0, 2},
-                      CoexParam{MacMode::Naive, 50.0, 8},
-                      CoexParam{MacMode::Naive, 500.0, 16}));
+    ::testing::Values(CoexParam{MacMode::Proposed, 0, 2.0, 2},
+                      CoexParam{MacMode::Proposed, 0, 50.0, 8},
+                      CoexParam{MacMode::Proposed, 0, 500.0, 16},
+                      CoexParam{MacMode::Naive, 0, 2.0, 2},
+                      CoexParam{MacMode::Naive, 0, 50.0, 8},
+                      CoexParam{MacMode::Naive, 0, 500.0, 16}));
 
 }  // namespace
 }  // namespace zeiot::backscatter

@@ -103,58 +103,6 @@ TEST(Executor, MessageCountMatchesCostModel) {
   EXPECT_DOUBLE_EQ(result.total_messages, cost.total_messages);
 }
 
-TEST(Executor, CentralizedSinkSerializesCompute) {
-  Rng rng(6);
-  ml::Network net_a = make_cnn(rng, 1, 8);
-  ml::Network net_b = make_cnn(rng, 1, 8);
-  const auto ga = UnitGraph::build(net_a, {1, 8, 8});
-  const auto gb = UnitGraph::build(net_b, {1, 8, 8});
-  const auto wsn = WsnTopology::grid(kArea, 4, 4);
-  const auto central = assign_centralized(ga, wsn, 5);
-  const auto spread = assign_nearest(gb, wsn);
-  const auto sample = random_sample({1, 8, 8}, 41);
-  // Compute-bound regime (slow MCUs, fast radio): the sink's serial
-  // execution of every unit dominates, and spreading parallelises it.
-  LatencyModel compute_bound;
-  compute_bound.hop_latency_s = 0.5e-3;
-  compute_bound.unit_compute_s = 1e-3;
-  const auto rc =
-      execute_distributed(net_a, ga, central, wsn, sample, compute_bound);
-  const auto rs =
-      execute_distributed(net_b, gb, spread, wsn, sample, compute_bound);
-  EXPECT_GT(rc.inference_latency_s, rs.inference_latency_s);
-}
-
-TEST(Executor, LatencyScalesWithHopLatency) {
-  Rng rng(7);
-  ml::Network net = make_cnn(rng, 1, 6);
-  const auto g = UnitGraph::build(net, {1, 6, 6});
-  const auto wsn = WsnTopology::grid(kArea, 4, 4);
-  const auto a = assign_nearest(g, wsn);
-  const auto sample = random_sample({1, 6, 6}, 51);
-  LatencyModel slow;
-  slow.hop_latency_s = 10e-3;
-  LatencyModel fast;
-  fast.hop_latency_s = 0.5e-3;
-  const auto rs = execute_distributed(net, g, a, wsn, sample, slow);
-  const auto rf = execute_distributed(net, g, a, wsn, sample, fast);
-  EXPECT_GT(rs.inference_latency_s, rf.inference_latency_s);
-}
-
-TEST(Executor, ZeroLatencyModelStillComputes) {
-  Rng rng(8);
-  ml::Network net = make_cnn(rng, 1, 6);
-  const auto g = UnitGraph::build(net, {1, 6, 6});
-  const auto wsn = WsnTopology::grid(kArea, 4, 4);
-  const auto a = assign_nearest(g, wsn);
-  LatencyModel zero;
-  zero.hop_latency_s = 0.0;
-  zero.unit_compute_s = 0.0;
-  const auto r =
-      execute_distributed(net, g, a, wsn, random_sample({1, 6, 6}, 61), zero);
-  EXPECT_DOUBLE_EQ(r.inference_latency_s, 0.0);
-}
-
 TEST(Executor, RejectsWrongSampleShape) {
   Rng rng(9);
   ml::Network net = make_cnn(rng, 1, 6);

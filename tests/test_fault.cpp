@@ -16,7 +16,6 @@
 #include "fault/invariants.hpp"
 #include "mac/collection.hpp"
 #include "mac/csma.hpp"
-#include "microdeep/executor.hpp"
 #include "netexec/netexec.hpp"
 #include "sim/simulator.hpp"
 
@@ -422,6 +421,9 @@ TEST(FaultWiring, CoexistenceChaosIsSeedReproducible) {
       << "the plan should actually bite at this intensity";
 }
 
+// The three Executor* cases drive message faults through
+// netexec::NetworkExecutor, the one executor that models message timing and
+// loss; faults are read at plan time fault_time_offset + sim time.
 TEST(FaultWiring, ExecutorEmptyPlanMatchesNoInjectorExactly) {
   Rng rng(1);
   ml::Network net;
@@ -439,16 +441,20 @@ TEST(FaultWiring, ExecutorEmptyPlanMatchesNoInjectorExactly) {
   for (std::size_t i = 0; i < sample.size(); ++i) {
     sample[i] = static_cast<float>(srng.uniform(-1.0, 1.0));
   }
-  const auto base = microdeep::execute_distributed(net, graph, a, wsn, sample);
+  const auto base = netexec::NetworkExecutor(net, graph, a, wsn).run(sample);
   FaultInjector empty{FaultPlan{}};
-  const auto with = microdeep::execute_distributed(
-      net, graph, a, wsn, sample, {}, nullptr, &empty, 1.0);
+  netexec::NetExecConfig cfg;
+  cfg.fault = &empty;
+  cfg.fault_time_offset = 1.0;
+  const auto with =
+      netexec::NetworkExecutor(net, graph, a, wsn, cfg).run(sample);
   ASSERT_EQ(base.output.size(), with.output.size());
   for (std::size_t i = 0; i < base.output.size(); ++i) {
     EXPECT_EQ(base.output[i], with.output[i]) << "logit " << i;
   }
-  EXPECT_EQ(base.inference_latency_s, with.inference_latency_s);
-  EXPECT_EQ(with.messages_faulted, 0.0);
+  EXPECT_EQ(base.latency_s, with.latency_s);
+  EXPECT_EQ(base.transmissions, with.transmissions);
+  EXPECT_FALSE(with.degraded);
 }
 
 TEST(FaultWiring, ExecutorSurvivesTotalMessageLoss) {
@@ -466,16 +472,24 @@ TEST(FaultWiring, ExecutorSurvivesTotalMessageLoss) {
   for (std::size_t i = 0; i < sample.size(); ++i) {
     sample[i] = 1.0f;
   }
-  FaultInjector all_lost(FaultPlan(
-      {{0.0, FaultType::MessageDrop, kAllTargets, 100.0, 1.0}}));
-  const auto res = microdeep::execute_distributed(
-      net, graph, a, wsn, sample, {}, nullptr, &all_lost, 1.0);
-  EXPECT_GT(res.messages_faulted, 0.0);
-  EXPECT_EQ(res.messages_faulted, res.total_messages)
-      << "every cross-node message sits inside the certain-drop window";
-  for (std::size_t i = 0; i < res.output.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(res.output[i]))
-        << "missing data must degrade, never produce inf/nan";
+  for (const FaultType type :
+       {FaultType::MessageDrop, FaultType::MessageCorrupt}) {
+    FaultInjector all_lost(
+        FaultPlan({{0.0, type, kAllTargets, 100.0, 1.0}}));
+    netexec::NetExecConfig cfg;
+    cfg.fault = &all_lost;
+    cfg.fault_time_offset = 1.0;
+    const auto res =
+        netexec::NetworkExecutor(net, graph, a, wsn, cfg).run(sample);
+    EXPECT_GT(res.messages, 0u) << fault_type_name(type);
+    EXPECT_EQ(res.frames_lost, res.messages)
+        << fault_type_name(type)
+        << ": every cross-node frame sits inside the certain-loss window";
+    EXPECT_TRUE(res.degraded) << fault_type_name(type);
+    for (std::size_t i = 0; i < res.output.size(); ++i) {
+      EXPECT_TRUE(std::isfinite(res.output[i]))
+          << "missing data must degrade, never produce inf/nan";
+    }
   }
 }
 
@@ -492,13 +506,20 @@ TEST(FaultWiring, ExecutorDelayStretchesLatency) {
   for (std::size_t i = 0; i < sample.size(); ++i) {
     sample[i] = 0.5f;
   }
-  const auto base = microdeep::execute_distributed(net, graph, a, wsn, sample);
+  // A deadline far past the delay, so delayed frames still count.
+  netexec::NetExecConfig cfg;
+  cfg.layer_deadline_s = 10.0;
+  const auto base =
+      netexec::NetworkExecutor(net, graph, a, wsn, cfg).run(sample);
   FaultInjector slow(FaultPlan(
       {{0.0, FaultType::MessageDelay, kAllTargets, 100.0, 0.250}}));
-  const auto delayed = microdeep::execute_distributed(
-      net, graph, a, wsn, sample, {}, nullptr, &slow, 1.0);
-  EXPECT_GT(delayed.inference_latency_s, base.inference_latency_s + 0.2)
+  cfg.fault = &slow;
+  cfg.fault_time_offset = 1.0;
+  const auto delayed =
+      netexec::NetworkExecutor(net, graph, a, wsn, cfg).run(sample);
+  EXPECT_GT(delayed.latency_s, base.latency_s + 0.2)
       << "every cross-node hop gained 250 ms";
+  EXPECT_FALSE(delayed.degraded);
   for (std::size_t i = 0; i < base.output.size(); ++i) {
     EXPECT_EQ(base.output[i], delayed.output[i])
         << "delay changes timing, never values";

@@ -154,7 +154,6 @@ TEST_P(MicroDeepPropertyTest, ExecutorMatchesNetworkForward) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_NEAR(result.output[i], expected[i], 1e-3);
   }
-  EXPECT_GE(result.inference_latency_s, 0.0);
 }
 
 TEST_P(MicroDeepPropertyTest, FailureMigrationPreservesUnitCount) {

@@ -51,13 +51,19 @@ ml::Tensor random_sample(std::vector<int> shape, std::uint64_t seed) {
   return t;
 }
 
-/// Conformance channel: no loss, no latency, no compute time.
-NetExecConfig ideal_config() {
+/// Lossless channel with a fixed per-hop latency and per-unit compute time:
+/// the timing-only setup of the latency claims.
+NetExecConfig fixed_latency_config(double hop_latency_s,
+                                   double unit_compute_s) {
   NetExecConfig cfg;
   cfg.channel = ChannelConfig::ideal();
-  cfg.unit_compute_s = 0.0;
+  cfg.channel.fixed_hop_latency_s = hop_latency_s;
+  cfg.unit_compute_s = unit_compute_s;
   return cfg;
 }
+
+/// Conformance channel: no loss, no latency, no compute time.
+NetExecConfig ideal_config() { return fixed_latency_config(0.0, 0.0); }
 
 /// MicroDeepHop events only (netexec additionally traces per-hop
 /// PacketTx/PacketRx, which the ideal executor does not model), sorted
@@ -146,11 +152,8 @@ TEST(NetexecConformance, IdealChannelBitMatchesExecutorRandomized) {
     const ml::Tensor sample = random_sample(s.shape, 100 + seed);
 
     obs::Observability ideal_obs(1 << 16);
-    microdeep::LatencyModel zero;
-    zero.hop_latency_s = 0.0;
-    zero.unit_compute_s = 0.0;
     const auto ref = execute_distributed(s.net, s.graph, s.assignment, s.wsn,
-                                         sample, zero, &ideal_obs);
+                                         sample, &ideal_obs);
 
     obs::Observability net_obs(1 << 16);
     NetExecConfig cfg = ideal_config();
@@ -189,6 +192,46 @@ TEST(NetexecConformance, LosslessRealTimingStillBitMatchesOutputs) {
   EXPECT_GT(got.latency_s, 0.0);
   EXPECT_GT(got.energy_j, 0.0);
   EXPECT_FALSE(got.degraded);
+}
+
+TEST(NetexecConformance, CentralizedSinkSerializesCompute) {
+  Rng rng(6);
+  ml::Network net_a = make_cnn(rng, 1, 8);
+  ml::Network net_b = make_cnn(rng, 1, 8);
+  const auto ga = UnitGraph::build(net_a, {1, 8, 8});
+  const auto gb = UnitGraph::build(net_b, {1, 8, 8});
+  const auto wsn = WsnTopology::grid(kArea, 4, 4);
+  const auto central = microdeep::assign_centralized(ga, wsn, 5);
+  const auto spread = microdeep::assign_nearest(gb, wsn);
+  const auto sample = random_sample({1, 8, 8}, 41);
+  // Compute-bound regime (slow MCUs, fast radio): the sink's serial
+  // execution of every unit dominates, and spreading parallelises it.
+  const NetExecConfig compute_bound = fixed_latency_config(0.5e-3, 1e-3);
+  const auto rc =
+      NetworkExecutor(net_a, ga, central, wsn, compute_bound).run(sample);
+  const auto rs =
+      NetworkExecutor(net_b, gb, spread, wsn, compute_bound).run(sample);
+  EXPECT_FALSE(rc.degraded);
+  EXPECT_FALSE(rs.degraded);
+  EXPECT_GT(rc.latency_s, rs.latency_s);
+}
+
+TEST(NetexecConformance, LatencyScalesWithHopLatency) {
+  Rng rng(7);
+  ml::Network net = make_cnn(rng, 1, 6);
+  const auto g = UnitGraph::build(net, {1, 6, 6});
+  const auto wsn = WsnTopology::grid(kArea, 4, 4);
+  const auto a = microdeep::assign_nearest(g, wsn);
+  const auto sample = random_sample({1, 6, 6}, 51);
+  const auto rs =
+      NetworkExecutor(net, g, a, wsn, fixed_latency_config(10e-3, 100e-6))
+          .run(sample);
+  const auto rf =
+      NetworkExecutor(net, g, a, wsn, fixed_latency_config(0.5e-3, 100e-6))
+          .run(sample);
+  EXPECT_FALSE(rs.degraded);
+  EXPECT_FALSE(rf.degraded);
+  EXPECT_GT(rs.latency_s, rf.latency_s);
 }
 
 TEST(NetexecConformance, EvaluateBitIdenticalAcrossThreadCounts) {
@@ -455,11 +498,7 @@ TEST(NetexecConformance, LastKnownMemorySubstitutesAcrossInferences) {
   Assignment assignment = microdeep::assign_centralized(graph, wsn, 9);
   const ml::Tensor sample = random_sample({2, 6, 6}, 55);
 
-  microdeep::LatencyModel zero;
-  zero.hop_latency_s = 0.0;
-  zero.unit_compute_s = 0.0;
-  const auto ideal =
-      execute_distributed(net, graph, assignment, wsn, sample, zero);
+  const auto ideal = execute_distributed(net, graph, assignment, wsn, sample);
 
   NetExecConfig lossy;
   lossy.channel.loss_per_hop = 0.9;

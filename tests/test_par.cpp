@@ -437,8 +437,7 @@ TEST(Determinism, ExecutorTraceDigestMatchesAcrossPoolSizes) {
       sample[i] = static_cast<float>(srng.uniform(-1.0, 1.0));
     }
     obs::Observability obs;
-    microdeep::execute_distributed(net, graph, assignment, wsn, sample,
-                                   microdeep::LatencyModel{}, &obs);
+    microdeep::execute_distributed(net, graph, assignment, wsn, sample, &obs);
     return obs.trace().digest();
   };
   EXPECT_EQ(digest_with(1), digest_with(4));
