@@ -1,6 +1,5 @@
 // Flat feature-vector dataset used by the classical classifiers (kNN,
-// logistic regression, Gaussian naive Bayes) that back the CSI and RSSI
-// sensing pipelines.
+// Gaussian naive Bayes) that back the CSI and RSSI sensing pipelines.
 #pragma once
 
 #include <vector>

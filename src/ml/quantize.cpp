@@ -451,14 +451,4 @@ std::size_t QuantizedNetwork::peak_activation_bytes() const {
   return peak;
 }
 
-QuantizedNetwork load_quantized_detail(std::vector<QuantOp> ops,
-                                       std::vector<int> input_shape,
-                                       float input_scale) {
-  QuantizedNetwork q;
-  q.ops_ = std::move(ops);
-  q.input_shape_ = std::move(input_shape);
-  q.input_scale_ = input_scale;
-  return q;
-}
-
 }  // namespace zeiot::ml

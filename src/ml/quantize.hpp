@@ -19,8 +19,7 @@
 //                  to float logits (no final activation grid).
 //
 // A QuantizedNetwork is a self-describing op list (architecture + weights
-// + scales), detached from the float Network it was built from; see
-// ml/serialize.hpp for the on-disk format.
+// + scales), detached from the float Network it was built from.
 #pragma once
 
 #include <cstdint>
@@ -124,10 +123,6 @@ class QuantizedNetwork {
   std::size_t peak_activation_bytes() const;
 
  private:
-  friend QuantizedNetwork load_quantized_detail(std::vector<QuantOp> ops,
-                                                std::vector<int> input_shape,
-                                                float input_scale);
-
   std::vector<QuantOp> ops_;
   std::vector<int> input_shape_;  // excluding batch
   float input_scale_ = 1.0f;
@@ -139,10 +134,5 @@ class QuantizedNetwork {
 /// maps these onto unit layers).
 std::vector<float> calibration_absmax(Network& net, const Tensor& calibration,
                                       int max_samples);
-
-/// Internal constructor used by load_quantized (ml/serialize.hpp).
-QuantizedNetwork load_quantized_detail(std::vector<QuantOp> ops,
-                                       std::vector<int> input_shape,
-                                       float input_scale);
 
 }  // namespace zeiot::ml

@@ -7,14 +7,13 @@
 //   sim.set_observer(&probe);
 //
 // Emitted metrics:
-//   sim.events.scheduled / sim.events.executed / sim.events.cancelled
-//       (counters)
+//   sim.events.scheduled / sim.events.executed (counters)
 //   sim.queue.depth            (gauge, peak via max_seen)
 //   sim.callback.wall_s        (summary of per-callback host wall time)
 // Emitted trace events (zero-duration spans in `obs.trace()`):
-// EventScheduled / EventFired / EventCancelled with a = low 32 bits of the
-// event sequence id.  Wall time is deliberately *not* traced so that two
-// same-seed runs produce identical traces.
+// EventScheduled / EventFired with a = low 32 bits of the event sequence
+// id.  Wall time is deliberately *not* traced so that two same-seed runs
+// produce identical traces.
 //
 // When the Observability context has spans enabled, the probe also emits
 // one SimStep span per distinct virtual timestamp: all events executed at
@@ -32,7 +31,6 @@ class SimulatorProbe final : public sim::SimObserver {
   explicit SimulatorProbe(Observability& obs);
 
   void on_scheduled(sim::Time t, std::uint64_t id) override;
-  void on_cancelled(sim::Time now, std::uint64_t id) override;
   void on_executed(sim::Time t, std::uint64_t id, std::size_t queue_depth,
                    double wall_s) override;
 
@@ -45,7 +43,6 @@ class SimulatorProbe final : public sim::SimObserver {
   // Handles resolved once so the per-event path is increment-only.
   Counter& scheduled_;
   Counter& executed_;
-  Counter& cancelled_;
   Gauge& queue_depth_;
   Summary& wall_;
   // SimStep batching state (only advanced when spans are enabled).

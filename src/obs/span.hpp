@@ -81,7 +81,7 @@ enum class SpanKind : std::uint8_t {
   // roots.  Simulator kernel (a = low 32 bits of the event sequence id).
   EventScheduled,
   EventFired,
-  EventCancelled,
+  EventCancelled,  // no longer emitted; kept so later ordinals stay put
   // MAC / channel.
   PacketTx,
   PacketRx,
@@ -196,10 +196,6 @@ class SpanRecorder {
   /// one complete ("X") event per span, pid = low 32 bits of the trace
   /// id, tid = the span's `a` attribute, ts/dur in virtual microseconds.
   void export_chrome_trace(std::ostream& out) const;
-
-  /// Indented text rendering of the span forest, children in record
-  /// order, with durations and payloads.
-  void render_tree(std::ostream& out) const;
 
  private:
   std::size_t capacity_ = 0;

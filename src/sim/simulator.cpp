@@ -13,22 +13,19 @@ Simulator::~Simulator() {
   for (Event* ev : free_) delete ev;
 }
 
-EventHandle Simulator::push(Time t, Callback cb) {
+void Simulator::push(Time t, Callback cb) {
   Event* ev;
   if (free_.empty()) {
-    ev = new Event{t, next_seq_++, std::move(cb), false};
+    ev = new Event{t, next_seq_++, std::move(cb)};
   } else {
     ev = free_.back();
     free_.pop_back();
     ev->time = t;
     ev->seq = next_seq_++;
     ev->cb = std::move(cb);
-    ev->cancelled = false;
   }
   heap_.push(ev);
-  live_ids_.insert(ev->seq);
   if (observer_ != nullptr) observer_->on_scheduled(t, ev->seq);
-  return EventHandle(ev->seq);
 }
 
 void Simulator::recycle(Event* ev) {
@@ -36,33 +33,20 @@ void Simulator::recycle(Event* ev) {
   free_.push_back(ev);
 }
 
-EventHandle Simulator::schedule(Time delay, Callback cb) {
+void Simulator::schedule(Time delay, Callback cb) {
   ZEIOT_CHECK_MSG(delay >= 0.0, "schedule() requires delay >= 0, got " << delay);
-  return push(now_ + delay, std::move(cb));
+  push(now_ + delay, std::move(cb));
 }
 
-EventHandle Simulator::schedule_at(Time t, Callback cb) {
+void Simulator::schedule_at(Time t, Callback cb) {
   ZEIOT_CHECK_MSG(t >= now_, "schedule_at() in the past: t=" << t
                                                              << " now=" << now_);
-  return push(t, std::move(cb));
+  push(t, std::move(cb));
 }
 
-bool Simulator::cancel(EventHandle h) {
-  if (h.id_ == 0) return false;
-  // Cancellation is lazy: the event cannot be removed from the middle of the
-  // heap, so drop it from the live set and skip it when it surfaces.
-  const bool cancelled = live_ids_.erase(h.id_) > 0;
-  if (cancelled && observer_ != nullptr) observer_->on_cancelled(now_, h.id_);
-  return cancelled;
-}
-
-bool Simulator::pop_and_run() {
+void Simulator::pop_and_run() {
   Event* ev = heap_.top();
   heap_.pop();
-  if (live_ids_.erase(ev->seq) == 0) {  // was cancelled
-    recycle(ev);
-    return false;
-  }
   now_ = ev->time;
   const Time t = ev->time;
   const std::uint64_t seq = ev->seq;
@@ -70,7 +54,7 @@ bool Simulator::pop_and_run() {
     ev->cb();
     recycle(ev);
     if (post_step_hook_) post_step_hook_(t);
-    return true;
+    return;
   }
   // Wall-clock timing of the callback only happens when observed, so the
   // unobserved hot path stays a single pointer test.
@@ -79,17 +63,15 @@ bool Simulator::pop_and_run() {
   recycle(ev);
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - start;
-  observer_->on_executed(t, seq, live_ids_.size(), wall.count());
+  observer_->on_executed(t, seq, heap_.size(), wall.count());
   if (post_step_hook_) post_step_hook_(t);
-  return true;
 }
 
 std::size_t Simulator::run(std::size_t limit) {
   std::size_t executed = 0;
-  // Lazily-cancelled events popped off the heap do not count as executed
-  // (the observer's events_executed counter matches the return value).
   while (!heap_.empty() && executed < limit) {
-    if (pop_and_run()) ++executed;
+    pop_and_run();
+    ++executed;
   }
   return executed;
 }
@@ -98,39 +80,11 @@ std::size_t Simulator::run_until(Time t) {
   ZEIOT_CHECK_MSG(t >= now_, "run_until() in the past");
   std::size_t executed = 0;
   while (!heap_.empty() && heap_.top()->time <= t) {
-    if (pop_and_run()) ++executed;
+    pop_and_run();
+    ++executed;
   }
   now_ = std::max(now_, t);
   return executed;
-}
-
-PeriodicTimer::PeriodicTimer(Simulator& sim, Time period,
-                             Simulator::Callback cb)
-    : sim_(sim), period_(period), cb_(std::move(cb)) {
-  ZEIOT_CHECK_MSG(period > 0.0, "PeriodicTimer requires period > 0");
-}
-
-PeriodicTimer::~PeriodicTimer() { stop(); }
-
-void PeriodicTimer::start() {
-  if (running_) return;
-  running_ = true;
-  arm();
-}
-
-void PeriodicTimer::stop() {
-  if (!running_) return;
-  running_ = false;
-  sim_.cancel(pending_);
-  pending_ = EventHandle{};
-}
-
-void PeriodicTimer::arm() {
-  pending_ = sim_.schedule(period_, [this] {
-    if (!running_) return;
-    cb_();
-    if (running_) arm();
-  });
 }
 
 }  // namespace zeiot::sim

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/error.hpp"
@@ -19,20 +18,9 @@ namespace zeiot::sim {
 /// Simulation time in seconds.
 using Time = double;
 
-/// Opaque handle for cancelling a scheduled event.
-class EventHandle {
- public:
-  EventHandle() = default;
-
- private:
-  friend class Simulator;
-  explicit EventHandle(std::uint64_t id) : id_(id) {}
-  std::uint64_t id_ = 0;  // 0 = null handle
-};
-
-/// Optional observer of simulator internals (scheduling, execution,
-/// cancellation, queue depth, per-callback wall time).  The default
-/// implementations are no-ops, so observers override only what they need.
+/// Optional observer of simulator internals (scheduling, execution, queue
+/// depth, per-callback wall time).  The default implementations are no-ops,
+/// so observers override only what they need.
 /// `zeiot::obs::SimulatorProbe` adapts this interface onto the metrics /
 /// tracing layer; with no observer installed the kernel pays only a null
 /// pointer test per event.
@@ -41,10 +29,6 @@ class SimObserver {
   virtual ~SimObserver() = default;
   /// An event was scheduled for absolute time `t` with sequence id `id`.
   virtual void on_scheduled(Time t, std::uint64_t id) { (void)t; (void)id; }
-  /// A live event was cancelled at simulation time `now`.
-  virtual void on_cancelled(Time now, std::uint64_t id) {
-    (void)now; (void)id;
-  }
   /// An event's callback ran at simulation time `t`.  `queue_depth` is the
   /// number of events still pending after this one; `wall_s` is the host
   /// wall-clock duration of the callback.
@@ -68,14 +52,10 @@ class Simulator {
   Time now() const { return now_; }
 
   /// Schedules `cb` to run `delay` seconds from now (delay >= 0).
-  EventHandle schedule(Time delay, Callback cb);
+  void schedule(Time delay, Callback cb);
 
   /// Schedules `cb` at absolute time `t` (t >= now()).
-  EventHandle schedule_at(Time t, Callback cb);
-
-  /// Cancels a previously scheduled event.  Returns false if the event
-  /// already ran, was already cancelled, or the handle is null.
-  bool cancel(EventHandle h);
+  void schedule_at(Time t, Callback cb);
 
   /// Runs events until the queue is empty or `limit` events have fired.
   /// Returns the number of events executed.
@@ -84,12 +64,12 @@ class Simulator {
   /// Runs events with timestamp <= `t`, then advances the clock to `t`.
   std::size_t run_until(Time t);
 
-  /// Number of events currently pending (scheduled, not yet run/cancelled).
-  std::size_t pending() const { return live_ids_.size(); }
+  /// Number of events currently pending (scheduled, not yet run).
+  std::size_t pending() const { return heap_.size(); }
 
   /// Installs (or clears, with nullptr) the observer.  The observer must
   /// outlive the simulator or be cleared first; it is notified of every
-  /// schedule/cancel/execute from the moment it is set.
+  /// schedule/execute from the moment it is set.
   void set_observer(SimObserver* observer) { observer_ = observer; }
   SimObserver* observer() const { return observer_; }
 
@@ -107,9 +87,8 @@ class Simulator {
  private:
   struct Event {
     Time time;
-    std::uint64_t seq;  // FIFO tie-break and cancellation id
+    std::uint64_t seq;  // FIFO tie-break and observer id
     Callback cb;
-    bool cancelled = false;
   };
   struct Order {
     bool operator()(const Event* a, const Event* b) const {
@@ -118,10 +97,9 @@ class Simulator {
     }
   };
 
-  EventHandle push(Time t, Callback cb);
-  /// Pops the earliest event; returns true if its callback ran (false for
-  /// lazily-cancelled events surfacing from the heap).
-  bool pop_and_run();
+  void push(Time t, Callback cb);
+  /// Pops the earliest event and runs its callback.
+  void pop_and_run();
   /// Returns a popped event's slot to free_ for reuse (its callback is
   /// released first so captured state never outlives the event).
   void recycle(Event* ev);
@@ -133,37 +111,12 @@ class Simulator {
   // deleted: a steady-state simulation performs no per-event allocation
   // beyond what the callbacks themselves capture.  This is the arena that
   // keeps fleet-scale runs (millions of events across thousands of
-  // deployments) off the allocator.  live_ids_ tracks events that are
-  // scheduled and not cancelled.
+  // deployments) off the allocator.  Every event in heap_ runs exactly
+  // once, so heap_ alone is the pending set.
   std::priority_queue<Event*, std::vector<Event*>, Order> heap_;
   std::vector<Event*> free_;
-  std::unordered_set<std::uint64_t> live_ids_;
   SimObserver* observer_ = nullptr;
   std::function<void(Time)> post_step_hook_;
-};
-
-/// Repeating timer helper: reschedules itself every `period` until stopped.
-class PeriodicTimer {
- public:
-  PeriodicTimer(Simulator& sim, Time period, Simulator::Callback cb);
-  ~PeriodicTimer();
-  PeriodicTimer(const PeriodicTimer&) = delete;
-  PeriodicTimer& operator=(const PeriodicTimer&) = delete;
-
-  /// Starts firing `period` from now.  No-op if already running.
-  void start();
-  /// Stops future firings.
-  void stop();
-  bool running() const { return running_; }
-
- private:
-  void arm();
-
-  Simulator& sim_;
-  Time period_;
-  Simulator::Callback cb_;
-  EventHandle pending_{};
-  bool running_ = false;
 };
 
 }  // namespace zeiot::sim

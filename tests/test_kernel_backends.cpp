@@ -27,7 +27,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 #include <vector>
 
 #include "common/error.hpp"
@@ -39,7 +38,6 @@
 #include "ml/kernels/gemm.hpp"
 #include "ml/kernels/workspace.hpp"
 #include "ml/quantize.hpp"
-#include "ml/serialize.hpp"
 #include "netexec/netexec.hpp"
 #include "par/thread_pool.hpp"
 
@@ -508,21 +506,6 @@ TEST(QuantizedNetwork, ForwardBitIdenticalAcrossBackendsThreadsAndReruns) {
     ScopedBackend pin2(BackendKind::Avx2);
     expect_bitwise_equal(qnet.forward(x), ref, "avx2");
   }
-}
-
-TEST(QuantizedNetwork, SaveLoadRoundtripsBitExactly) {
-  Rng rng(23);
-  ml::Network net = make_cnn(rng);
-  const std::vector<int> shape{2, 8, 8};
-  const QuantizedNetwork qnet =
-      QuantizedNetwork::build(net, shape, random_batch(16, shape, 11));
-  std::stringstream ss;
-  save_quantized(qnet, ss);
-  const QuantizedNetwork loaded = load_quantized(ss);
-  EXPECT_EQ(loaded.weight_bytes(), qnet.weight_bytes());
-  EXPECT_EQ(loaded.input_shape(), qnet.input_shape());
-  const Tensor x = random_batch(3, shape, 12);
-  expect_bitwise_equal(loaded.forward(x), qnet.forward(x), "save/load");
 }
 
 TEST(QuantizedNetwork, WeightFootprintShrinksVsFloat) {

@@ -1,38 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "mac/channel.hpp"
-#include "mac/traffic.hpp"
 
 namespace zeiot::mac {
 namespace {
-
-TEST(PoissonSource, MeanInterarrival) {
-  PoissonSource src(100.0, 1000, Rng(1));
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += src.next_interarrival();
-  EXPECT_NEAR(sum / n, 0.01, 0.0005);
-  EXPECT_EQ(src.payload_bytes(), 1000u);
-}
-
-TEST(PoissonSource, RejectsBadParams) {
-  EXPECT_THROW(PoissonSource(0.0, 100, Rng(1)), Error);
-  EXPECT_THROW(PoissonSource(1.0, 0, Rng(1)), Error);
-}
-
-TEST(PeriodicSource, ExactWithoutJitter) {
-  PeriodicSource src(0.5, 64, Rng(2));
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(src.next_interarrival(), 0.5);
-}
-
-TEST(PeriodicSource, JitterBounded) {
-  PeriodicSource src(1.0, 64, Rng(3), 0.1);
-  for (int i = 0; i < 1000; ++i) {
-    const double d = src.next_interarrival();
-    EXPECT_GE(d, 0.9);
-    EXPECT_LE(d, 1.1);
-  }
-}
 
 TEST(Channel, LogsTransmissions) {
   Channel ch;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "obs/sim_probe.hpp"
@@ -68,34 +69,6 @@ TEST(Simulator, ScheduleAtRejectsPast) {
   EXPECT_THROW(sim.schedule_at(4.0, [] {}), Error);
 }
 
-TEST(Simulator, CancelPreventsExecution) {
-  Simulator sim;
-  bool ran = false;
-  const auto h = sim.schedule(1.0, [&] { ran = true; });
-  EXPECT_TRUE(sim.cancel(h));
-  sim.run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(Simulator, CancelTwiceReturnsFalse) {
-  Simulator sim;
-  const auto h = sim.schedule(1.0, [] {});
-  EXPECT_TRUE(sim.cancel(h));
-  EXPECT_FALSE(sim.cancel(h));
-}
-
-TEST(Simulator, CancelAfterRunReturnsFalse) {
-  Simulator sim;
-  const auto h = sim.schedule(1.0, [] {});
-  sim.run();
-  EXPECT_FALSE(sim.cancel(h));
-}
-
-TEST(Simulator, CancelNullHandleReturnsFalse) {
-  Simulator sim;
-  EXPECT_FALSE(sim.cancel(EventHandle{}));
-}
-
 TEST(Simulator, RunUntilStopsAtBoundary) {
   Simulator sim;
   std::vector<double> times;
@@ -118,6 +91,26 @@ TEST(Simulator, RunUntilInclusiveOfBoundary) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(Simulator, SelfReschedulingCallbackRepeatsUntilItStops) {
+  // A repeating timer is a callback that re-schedules itself; it stops once
+  // the callback no longer re-schedules.
+  Simulator sim;
+  std::vector<double> fired;
+  bool rearm = true;
+  std::function<void()> tick = [&] {
+    fired.push_back(sim.now());
+    if (rearm) sim.schedule(1.0, tick);
+  };
+  sim.schedule(1.0, tick);
+  sim.run_until(5.5);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0}));
+  EXPECT_EQ(sim.pending(), 1u);
+  rearm = false;
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(fired, (std::vector<double>{1.0, 2.0, 3.0, 4.0, 5.0, 6.0}));
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
 TEST(Simulator, RunWithLimit) {
   Simulator sim;
   int fired = 0;
@@ -127,70 +120,25 @@ TEST(Simulator, RunWithLimit) {
   EXPECT_EQ(sim.pending(), 7u);
 }
 
-TEST(Simulator, PendingTracksCancellation) {
-  Simulator sim;
-  const auto h = sim.schedule(1.0, [] {});
-  sim.schedule(2.0, [] {});
-  EXPECT_EQ(sim.pending(), 2u);
-  sim.cancel(h);
-  EXPECT_EQ(sim.pending(), 1u);
-}
-
-TEST(PeriodicTimer, FiresRepeatedly) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTimer timer(sim, 1.0, [&] { ++count; });
-  timer.start();
-  sim.run_until(5.5);
-  EXPECT_EQ(count, 5);
-}
-
-TEST(PeriodicTimer, StopHalts) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTimer timer(sim, 1.0, [&] { ++count; });
-  timer.start();
-  sim.schedule(3.5, [&] { timer.stop(); });
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 3);
-  EXPECT_FALSE(timer.running());
-}
-
-TEST(PeriodicTimer, RestartWorks) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTimer timer(sim, 1.0, [&] { ++count; });
-  timer.start();
-  sim.schedule(2.5, [&] { timer.stop(); });
-  sim.schedule(5.0, [&] { timer.start(); });
-  sim.run_until(7.5);
-  EXPECT_EQ(count, 4);  // fires at 1, 2, 6, 7
-}
-
-TEST(PeriodicTimer, RejectsNonPositivePeriod) {
-  Simulator sim;
-  EXPECT_THROW(PeriodicTimer(sim, 0.0, [] {}), Error);
-}
-
 TEST(SimObserver, ExecutedCounterMatchesRunReturn) {
   // The observer's events_executed counter and run()'s return value are
-  // two independent tallies of the same thing; they must agree even when
-  // cancelled events surface from the heap mid-run.
+  // two independent tallies of the same thing; they must agree when
+  // callbacks schedule further events mid-run.
   obs::Observability o;
   obs::SimulatorProbe probe(o);
   Simulator sim;
   sim.set_observer(&probe);
-  std::vector<EventHandle> handles;
   for (int i = 0; i < 50; ++i) {
-    handles.push_back(sim.schedule(static_cast<double>(i), [&sim] {
+    sim.schedule(static_cast<double>(i), [&sim] {
       sim.schedule(0.5, [] {});
-    }));
+    });
   }
-  for (std::size_t i = 0; i < handles.size(); i += 3) sim.cancel(handles[i]);
   const std::size_t executed = sim.run();
+  EXPECT_EQ(executed, 100u);
   EXPECT_DOUBLE_EQ(o.metrics().counter_value("sim.events.executed"),
                    static_cast<double>(executed));
-  EXPECT_DOUBLE_EQ(o.metrics().counter_value("sim.events.cancelled"), 17.0);
+  EXPECT_DOUBLE_EQ(o.metrics().counter_value("sim.events.scheduled"),
+                   static_cast<double>(executed));
 }
 
 TEST(SimObserver, RunWithLimitMatchesObserver) {
@@ -202,17 +150,6 @@ TEST(SimObserver, RunWithLimitMatchesObserver) {
   const std::size_t executed = sim.run(4);
   EXPECT_EQ(executed, 4u);
   EXPECT_DOUBLE_EQ(o.metrics().counter_value("sim.events.executed"), 4.0);
-}
-
-TEST(PeriodicTimer, CanStopInsideCallback) {
-  Simulator sim;
-  int count = 0;
-  PeriodicTimer timer(sim, 1.0, [&] {
-    if (++count == 3) timer.stop();
-  });
-  timer.start();
-  sim.run_until(10.0);
-  EXPECT_EQ(count, 3);
 }
 
 }  // namespace
