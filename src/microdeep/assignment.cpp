@@ -97,11 +97,7 @@ Assignment assign_centralized(const UnitGraph& graph, const WsnTopology& wsn,
 }
 
 Assignment assign_nearest(const UnitGraph& graph, const WsnTopology& wsn) {
-  std::vector<NodeId> map(graph.num_units());
-  for (UnitId u = 0; u < graph.num_units(); ++u) {
-    map[u] = wsn.nearest_node(graph.position(u, wsn.area()));
-  }
-  return Assignment(&graph, std::move(map));
+  return Assignment(&graph, nearest_seed_map(graph, wsn));
 }
 
 std::vector<NodeId> nearest_seed_map(const UnitGraph& graph,
@@ -133,15 +129,6 @@ Assignment assign_balanced_heuristic_from(const UnitGraph& graph,
   for (NodeId n : map) {
     ZEIOT_CHECK_MSG(n < num_nodes, "seed map references unknown node");
   }
-  // Input units are always owned by the node that senses them; override
-  // whatever the seed said.
-  {
-    const UnitLayer& input = graph.layers().front();
-    for (int i = 0; i < input.num_units(); ++i) {
-      const UnitId u = input.first_unit + static_cast<UnitId>(i);
-      map[u] = wsn.nearest_node(graph.position(u, wsn.area()));
-    }
-  }
   std::vector<std::size_t> load(num_nodes, 0);
   for (NodeId n : map) ++load[n];
   const std::size_t target =
@@ -158,10 +145,11 @@ Assignment assign_balanced_heuristic_from(const UnitGraph& graph,
   // neighbours that would sit on the same node (weight 2) or an adjacent
   // node (weight 1) — the link-correspondence objective.
   auto affinity = [&](UnitId u, NodeId n) {
+    const std::uint8_t* link_to_n = wsn.row(n).link;
     int score = 0;
     for (UnitId v : graph.graph_neighbors(u)) {
       if (map[v] == n) score += 2;
-      else if (wsn.is_link(map[v], n)) score += 1;
+      else if (link_to_n[map[v]] != 0) score += 1;
     }
     return score;
   };

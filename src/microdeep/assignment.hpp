@@ -72,8 +72,11 @@ Assignment assign_balanced_heuristic(const UnitGraph& graph,
 /// The same balance-and-drain heuristic, but started from a caller-supplied
 /// seed placement instead of the geometric one — the assignment search uses
 /// jittered seeds for its restarts, sharing one precomputed geometric map
-/// across all candidates.  Input units are re-pinned to their sensing node
-/// regardless of the seed.  `seed_map` must have one entry per unit.
+/// across all candidates.  `seed_map` must have one entry per unit, and
+/// must already place every input unit on its sensing node (the entry
+/// nearest_seed_map() gives it): input units are never moved, and this
+/// precondition is not re-checked, since the search pins them once for
+/// all its candidates.
 Assignment assign_balanced_heuristic_from(const UnitGraph& graph,
                                           const WsnTopology& wsn,
                                           std::vector<NodeId> seed_map,

@@ -1,3 +1,7 @@
+// Communication-cost accounting (cost model: comm_cost.hpp).  This is the
+// assignment search's innermost loop, so it makes no checked call per edge
+// or hop: one WsnTopology::Row per route or aggregation tree, the raw
+// unit->node map, and a forward-only destination-layer cursor.
 #include "microdeep/comm_cost.hpp"
 
 #include <algorithm>
@@ -6,17 +10,17 @@ namespace zeiot::microdeep {
 
 namespace {
 
-/// Picks the next hop from `cur` toward `dst`: among the neighbours one
-/// hop closer to `dst`, the one with the least accumulated load — the
-/// load-balancing multi-parent routing WSN collection protocols use.
+/// Picks the next hop from `cur` toward the destination of `row`: among
+/// the neighbours one hop closer, the one with the least accumulated load —
+/// the load-balancing multi-parent routing WSN collection protocols use.
 /// Falls back to the BFS next hop (always valid on a connected graph).
-NodeId pick_next_hop(const WsnTopology& wsn, NodeId cur, NodeId dst,
+NodeId pick_next_hop(const WsnTopology::Row& row, NodeId cur,
                      const std::vector<double>& per_node) {
-  const int cur_hops = wsn.hops(cur, dst);
-  NodeId best = wsn.next_hop(cur, dst);
+  const int closer = row.hops[cur] - 1;
+  NodeId best = row.next_hop[cur];
   double best_load = per_node[best];
-  for (NodeId v : wsn.neighbors(cur)) {
-    if (wsn.hops(v, dst) != cur_hops - 1) continue;
+  for (NodeId v : row.adj(cur)) {
+    if (row.hops[v] != closer) continue;
     if (per_node[v] < best_load) {
       best_load = per_node[v];
       best = v;
@@ -37,9 +41,10 @@ void charge_route(const WsnTopology& wsn, NodeId src, NodeId dst,
     running_max = std::max(running_max, std::max(a, b));
     return;
   }
+  const WsnTopology::Row row = wsn.row(dst);
   NodeId cur = src;
   while (cur != dst) {
-    const NodeId nxt = pick_next_hop(wsn, cur, dst, r.per_node);
+    const NodeId nxt = pick_next_hop(row, cur, r.per_node);
     const double a = r.per_node[cur] += 1.0;  // tx of this hop
     const double b = r.per_node[nxt] += 1.0;  // rx of this hop
     r.total_hop_transmissions += 1.0;
@@ -85,6 +90,7 @@ void charge_aggregation_tree(const WsnTopology& wsn, NodeId root,
     running_max = std::max(running_max, std::max(a, b));
     edges += 1.0;
   };
+  const WsnTopology::Row row = wsn.row(root);
   for (NodeId src : sources) {
     if (src == root) continue;
     if (!multihop) {
@@ -97,7 +103,7 @@ void charge_aggregation_tree(const WsnTopology& wsn, NodeId root,
         cur = scratch.tree_parent[cur];  // joins the existing tree branch
         continue;
       }
-      const NodeId nxt = pick_next_hop(wsn, cur, root, r.per_node);
+      const NodeId nxt = pick_next_hop(row, cur, r.per_node);
       charge_edge(cur, nxt);
       cur = nxt;
     }
@@ -152,11 +158,18 @@ std::optional<CommCostReport> compute_comm_cost_bounded(
 
   // Unicast part: spatial-layer edges, deduplicated per (producer unit,
   // consumer node) — an activation is broadcast once per destination node
-  // regardless of how many consumer units live there.
+  // regardless of how many consumer units live there.  Edges come in
+  // non-decreasing destination layer (a UnitGraph contract), so the
+  // destination layer is a cursor that only moves forward.
+  const std::vector<NodeId>& unit_node = assignment.unit_map();
+  std::size_t dst_layer = 0;
   for (const UnitEdge& e : g.edges()) {
-    const NodeId src_node = assignment.node_of(e.src);
-    const NodeId dst_node = assignment.node_of(e.dst);
-    const std::size_t dst_layer = g.layer_of(e.dst);
+    const NodeId src_node = unit_node[e.src];
+    const NodeId dst_node = unit_node[e.dst];
+    while (dst_layer + 1 < layers.size() &&
+           e.dst >= layers[dst_layer + 1].first_unit) {
+      ++dst_layer;
+    }
     const bool dense_dst =
         opts.aggregate_dense && layers[dst_layer].kind == UnitLayer::Kind::Dense;
     if (dense_dst) {

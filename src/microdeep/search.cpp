@@ -56,10 +56,14 @@ AssignmentSearchResult search_assignment(const UnitGraph& graph,
   ZEIOT_CHECK_MSG(!specs.empty(), "search has no candidates");
 
   // Shared read-only state, computed once: the geometric seed map (every
-  // candidate starts from it) and the WSN routing tables (memoized in
+  // candidate starts from it, and its input entries are the sensing nodes
+  // the heuristic requires) and the WSN routing tables (built in
   // WsnTopology at construction — compute_comm_cost only does table
   // lookups, so concurrent scoring never re-runs BFS).
   const std::vector<NodeId> base_seed = nearest_seed_map(graph, wsn);
+  const UnitLayer& input = graph.layers().front();
+  const auto input_begin = static_cast<std::ptrdiff_t>(input.first_unit);
+  const auto input_end = input_begin + input.num_units();
   const Rng base_rng(opts.seed);
 
   struct Scored {
@@ -105,6 +109,12 @@ AssignmentSearchResult search_assignment(const UnitGraph& graph,
                       0, static_cast<std::int64_t>(nbrs.size()) - 1))];
                 }
               }
+              // Every unit drew above, so the stream stays in step; input
+              // units then go back to their sensing nodes, the heuristic's
+              // precondition.
+              std::copy(base_seed.begin() + input_begin,
+                        base_seed.begin() + input_end,
+                        seed.begin() + input_begin);
             }
             return assign_balanced_heuristic_from(graph, wsn, std::move(seed),
                                                   spec.slack);

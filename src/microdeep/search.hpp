@@ -8,9 +8,12 @@
 // (par::substream), evaluated concurrently, and the winner is chosen by
 // (max_cost, candidate index) so the result is bit-identical at any worker
 // count.  Expensive shared state is computed once and reused by every
-// candidate: the WSN's BFS routing tables are already memoized inside
-// WsnTopology, and the geometric unit->nearest-node seed map is built a
-// single time up front instead of per candidate.
+// candidate: the WSN's BFS routing tables are built at WsnTopology
+// construction as flat dst-major rows that the cost model reads unchecked
+// (WsnTopology::row), and the geometric unit->nearest-node seed map is
+// built a single time up front.  That seed map also pins every input unit
+// to its sensing node, so no candidate re-runs a nearest-node scan: the
+// jittered restarts copy the input units back from it after drawing.
 #pragma once
 
 #include <string>

@@ -48,6 +48,9 @@ class UnitGraph {
 
   std::size_t num_units() const { return num_units_; }
   const std::vector<UnitLayer>& layers() const { return layers_; }
+  /// Dependency edges in non-decreasing destination-layer order: build()
+  /// emits each layer's incoming edges before the next layer's.  The
+  /// comm-cost edge walk relies on this to track the layer with a cursor.
   const std::vector<UnitEdge>& edges() const { return edges_; }
 
   /// Index of the unit layer containing `u`.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "common/digest.hpp"
 
@@ -14,9 +13,7 @@ WsnTopology::WsnTopology(std::vector<Point2D> positions, Rect area,
   ZEIOT_CHECK_MSG(!positions_.empty(), "topology requires nodes");
   ZEIOT_CHECK_MSG(comm_radius_m > 0.0, "comm radius must be > 0");
   build_links();
-  ZEIOT_CHECK_MSG(connected(), "WSN topology is not connected at radius "
-                                   << comm_radius_m);
-  build_routing();
+  build_routing();  // throws when the graph is not connected
 }
 
 WsnTopology WsnTopology::grid(Rect area, int cols, int rows) {
@@ -97,50 +94,41 @@ void WsnTopology::build_links() {
       }
     }
   }
-}
-
-bool WsnTopology::connected() const {
-  std::vector<bool> seen(positions_.size(), false);
-  std::queue<NodeId> q;
-  q.push(0);
-  seen[0] = true;
-  std::size_t count = 1;
-  while (!q.empty()) {
-    const NodeId u = q.front();
-    q.pop();
-    for (NodeId v : adj_[u]) {
-      if (!seen[v]) {
-        seen[v] = true;
-        ++count;
-        q.push(v);
-      }
-    }
+  adj_begin_.assign(1, 0);
+  adj_flat_.clear();
+  for (const auto& nbrs : adj_) {
+    adj_flat_.insert(adj_flat_.end(), nbrs.begin(), nbrs.end());
+    adj_begin_.push_back(static_cast<std::uint32_t>(adj_flat_.size()));
   }
-  return count == positions_.size();
 }
 
 void WsnTopology::build_routing() {
   const std::size_t n = positions_.size();
-  next_hop_.assign(n, std::vector<NodeId>(n, kNoNode));
-  hops_.assign(n, std::vector<int>(n, -1));
-  // One BFS per destination: parent pointers give the next hop toward it.
+  hops_.assign(n * n, -1);
+  next_hop_.assign(n * n, kNoNode);
+  // One BFS per destination, writing straight into that destination's
+  // rows: parent pointers give the next hop toward it.  A BFS that misses
+  // a node proves the graph disconnected.
+  std::vector<NodeId> queue(n);
   for (std::size_t dst = 0; dst < n; ++dst) {
-    auto& nh = next_hop_[dst];
-    auto& hp = hops_[dst];
-    std::queue<NodeId> q;
-    q.push(static_cast<NodeId>(dst));
+    int* hp = hops_.data() + dst * n;
+    NodeId* nh = next_hop_.data() + dst * n;
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    queue[tail++] = static_cast<NodeId>(dst);
     hp[dst] = 0;
-    while (!q.empty()) {
-      const NodeId u = q.front();
-      q.pop();
+    while (head < tail) {
+      const NodeId u = queue[head++];
       for (NodeId v : adj_[u]) {
         if (hp[v] == -1) {
           hp[v] = hp[u] + 1;
           nh[v] = u;  // from v, step to u to get closer to dst
-          q.push(v);
+          queue[tail++] = v;
         }
       }
     }
+    ZEIOT_CHECK_MSG(tail == n, "WSN topology is not connected at radius "
+                                   << comm_radius_);
   }
 }
 
@@ -174,13 +162,13 @@ NodeId WsnTopology::nearest_node(Point2D p) const {
 
 int WsnTopology::hops(NodeId a, NodeId b) const {
   ZEIOT_CHECK(a < positions_.size() && b < positions_.size());
-  return hops_[b][a];
+  return hops_[static_cast<std::size_t>(b) * positions_.size() + a];
 }
 
 NodeId WsnTopology::next_hop(NodeId from, NodeId to) const {
   ZEIOT_CHECK(from < positions_.size() && to < positions_.size());
   ZEIOT_CHECK_MSG(from != to, "next_hop requires from != to");
-  return next_hop_[to][from];
+  return next_hop_[static_cast<std::size_t>(to) * positions_.size() + from];
 }
 
 std::uint64_t WsnTopology::digest() const {

@@ -3,9 +3,15 @@
 // fixed communication radius.  Message routing between non-adjacent nodes
 // follows BFS shortest paths, which is what drives the relaying load in the
 // communication-cost accounting.
+//
+// Routing state is built once, flat: hop counts, BFS next hops and links are
+// each one dst-major n*n array filled directly by the BFS, plus a CSR copy
+// of the adjacency.  netexec and the executor use the checked accessors;
+// the planner's inner loops read the same arrays through unchecked row().
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/geometry.hpp"
@@ -55,6 +61,25 @@ class WsnTopology {
   /// Requires from != to.
   NodeId next_hop(NodeId from, NodeId to) const;
 
+  /// Unchecked routing view toward `dst` (< num_nodes()) for the planner's
+  /// inner loops.  For v < num_nodes(): hops[v] == hops(v, dst), next_hop[v]
+  /// == next_hop(v, dst), link[v] == is_link(v, dst), adj(v) == neighbors(v).
+  struct Row {
+    const int* hops;
+    const NodeId* next_hop;
+    const std::uint8_t* link;
+    const std::uint32_t* adj_begin;
+    const NodeId* adj_flat;
+    std::span<const NodeId> adj(NodeId v) const {
+      return {adj_flat + adj_begin[v], adj_flat + adj_begin[v + 1]};
+    }
+  };
+  Row row(NodeId dst) const {
+    const std::size_t base = static_cast<std::size_t>(dst) * positions_.size();
+    return {hops_.data() + base, next_hop_.data() + base, link_.data() + base,
+            adj_begin_.data(), adj_flat_.data()};
+  }
+
   /// Mean node degree.
   double mean_degree() const;
 
@@ -70,16 +95,19 @@ class WsnTopology {
  private:
   void build_links();
   void build_routing();
-  bool connected() const;
 
   std::vector<Point2D> positions_;
   Rect area_;
   double comm_radius_;
   std::vector<std::vector<NodeId>> adj_;
+  // CSR copy of adj_: v's neighbours are adj_flat_[adj_begin_[v], [v + 1]).
+  std::vector<std::uint32_t> adj_begin_;
+  std::vector<NodeId> adj_flat_;
   std::vector<std::uint8_t> link_;  // n*n adjacency matrix for O(1) is_link
-  // next_hop_[to][from] = neighbour of `from` one step closer to `to`.
-  std::vector<std::vector<NodeId>> next_hop_;
-  std::vector<std::vector<int>> hops_;
+  // Dst-major n*n tables: entry [to * n + from] is the hop count from
+  // `from` to `to`, and the neighbour of `from` one step closer to `to`.
+  std::vector<int> hops_;
+  std::vector<NodeId> next_hop_;
 };
 
 }  // namespace zeiot::microdeep

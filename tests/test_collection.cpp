@@ -163,11 +163,18 @@ TEST(Collection, ValidatorCatchesTampering) {
 }
 
 // Property sweep: synthesize + validate across loads.
+// gtest names each case by dumping the parameter's bytes, so the struct
+// must have no padding: `reserved` fills the tail after `channels`, which
+// keeps the case names the same from one run to the next.
 struct CollectionParam {
   std::size_t devices;
   double period;
   int channels;
+  int reserved = 0;
 };
+static_assert(sizeof(CollectionParam) ==
+                  sizeof(std::size_t) + sizeof(double) + 2 * sizeof(int),
+              "padding bytes would make the case names vary between runs");
 
 class CollectionSweep : public ::testing::TestWithParam<CollectionParam> {};
 

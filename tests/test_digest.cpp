@@ -13,9 +13,12 @@
 #include "common/digest.hpp"
 #include "fault/fault.hpp"
 #include "fleet/fleet.hpp"
+#include "microdeep/comm_cost.hpp"
+#include "microdeep/search.hpp"
 #include "microdeep/wsn.hpp"
 #include "netexec/checkpoint.hpp"
 #include "obs/span.hpp"
+#include "par/thread_pool.hpp"
 #include "serve/serve.hpp"
 
 using namespace zeiot;
@@ -45,6 +48,81 @@ std::uint64_t v1_trace_digest(const obs::SpanRecorder& trace) {
         .word(e.b)
         .bits(e.value);
   }
+  return h.value();
+}
+
+void mix_map(Fnv1a64& h, const microdeep::Assignment& a) {
+  h.word(a.num_units());
+  for (const microdeep::NodeId n : a.unit_map()) h.word(n);
+}
+
+void mix_costs(Fnv1a64& h, const microdeep::CommCostReport& r) {
+  for (const double c : r.per_node) h.bits(c);
+}
+
+// Everything the planner decides for one deployment: the heuristic's maps
+// at every slack, per-node costs (aggregated and all-unicast), and, under
+// both the serve search and the default search, the winner plus every
+// candidate score — aborted and over-budget ones included, since the abort
+// points decide which scores get recorded.
+void mix_deployment(Fnv1a64& h, const microdeep::UnitGraph& g,
+                    const microdeep::WsnTopology& wsn, par::ThreadPool* pool) {
+  using namespace microdeep;
+  for (int slack = 0; slack <= 3; ++slack) {
+    const Assignment a = assign_balanced_heuristic(g, wsn, slack);
+    mix_map(h, a);
+    mix_costs(h, compute_comm_cost(a, wsn));
+  }
+  CommCostOptions unicast;
+  unicast.aggregate_dense = false;
+  mix_costs(h, compute_comm_cost(assign_nearest(g, wsn), wsn, unicast));
+  for (AssignmentSearchOptions opts :
+       {serve::ServeConfig::make_default_search(), AssignmentSearchOptions{}}) {
+    opts.pool = pool;
+    const AssignmentSearchResult res = search_assignment(g, wsn, opts);
+    mix_map(h, res.best);
+    h.bits(res.best_max_cost).bits(res.best_mean_cost).word(res.best_index);
+    h.word(res.candidates.size());
+    for (const AssignmentCandidateScore& c : res.candidates) {
+      h.bytes(c.label.data(), c.label.size());
+      h.bits(c.max_cost).bits(c.mean_cost);
+      h.word(c.aborted).word(c.over_budget);
+      h.word(c.peak_memory_bytes).word(c.peak_nvm_bytes);
+    }
+    mix_costs(h, compute_comm_cost(res.best, wsn, opts.cost_options));
+  }
+}
+
+// The deployments that reach the planner: the twelve serve_plan_churn
+// topology variants (six per CNN route) and the bench_a1/e1 topologies
+// (lounge jittered grids at seeds 2 and 6, the 10x10 IR-array grid).
+std::uint64_t search_identity_digest(par::ThreadPool* pool) {
+  static const std::unique_ptr<serve::RouteSet> routes = [] {
+    serve::RouteSetConfig cfg;
+    cfg.e1_variants = 6;
+    cfg.e2_variants = 6;
+    // Only the CNN deployments are hashed; keep the other routes small.
+    cfg.e3_train_trips_per_level = 6;
+    cfg.e3_scenarios = 4;
+    cfg.e4_train_rounds_per_count = 6;
+    cfg.e4_measurements = 8;
+    return serve::make_routes(cfg);
+  }();
+  using microdeep::WsnTopology;
+  Fnv1a64 h;
+  for (const serve::CnnRoute* route : {&routes->e1, &routes->e2}) {
+    for (const WsnTopology& wsn : route->variants) {
+      mix_deployment(h, route->graph, wsn, pool);
+    }
+  }
+  const Rect lounge{0.0, 0.0, 50.0, 34.0};
+  for (const std::uint64_t seed : {2u, 6u}) {
+    Rng rng(seed);
+    mix_deployment(h, routes->e1.graph,
+                   WsnTopology::jittered_grid(lounge, 10, 5, rng), pool);
+  }
+  mix_deployment(h, routes->e2.graph,
+                 WsnTopology::grid({0.0, 0.0, 5.0, 5.0}, 10, 10), pool);
   return h.value();
 }
 
@@ -143,4 +221,13 @@ TEST(PinnedDigest, CheckpointTrailer) {
   std::uint64_t trailer;
   std::memcpy(&trailer, image.data() + image.size() - 8, sizeof(trailer));
   EXPECT_EQ(trailer, 0x42d67604ae99c032ULL);
+}
+
+// Pinned before the routing rows, the pinned input nodes and the comm-cost
+// layer cursor were optimised: none of them may move a planning decision.
+TEST(PinnedDigest, SearchAssignment) {
+  par::ThreadPool one(1);
+  par::ThreadPool four(4);
+  EXPECT_EQ(search_identity_digest(&one), 0x48215d1b3a17f80fULL);
+  EXPECT_EQ(search_identity_digest(&four), 0x48215d1b3a17f80fULL);
 }

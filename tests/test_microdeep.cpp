@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <queue>
 #include <set>
 
 #include "microdeep/assignment.hpp"
@@ -88,6 +89,68 @@ TEST(Wsn, IsLinkSymmetric) {
   }
 }
 
+// Routing tables against a from-scratch BFS per destination (FIFO queue,
+// neighbours in neighbors() order, so the parent it records is the next
+// hop the topology must report), and the unchecked row() view against the
+// checked accessors it shadows.
+void expect_routing_matches_reference_bfs(const WsnTopology& wsn) {
+  const std::size_t n = wsn.num_nodes();
+  for (NodeId dst = 0; dst < n; ++dst) {
+    std::vector<int> hops(n, -1);
+    std::vector<NodeId> parent(n, kNoNode);
+    std::queue<NodeId> q;
+    q.push(dst);
+    hops[dst] = 0;
+    while (!q.empty()) {
+      const NodeId u = q.front();
+      q.pop();
+      for (NodeId v : wsn.neighbors(u)) {
+        if (hops[v] != -1) continue;
+        hops[v] = hops[u] + 1;
+        parent[v] = u;
+        q.push(v);
+      }
+    }
+    const WsnTopology::Row row = wsn.row(dst);
+    for (NodeId src = 0; src < n; ++src) {
+      ASSERT_EQ(wsn.hops(src, dst), hops[src]) << src << "->" << dst;
+      ASSERT_EQ(row.hops[src], hops[src]);
+      ASSERT_EQ(row.link[src] != 0, wsn.is_link(src, dst));
+      const auto adj = row.adj(src);
+      ASSERT_TRUE(std::equal(adj.begin(), adj.end(),
+                             wsn.neighbors(src).begin(),
+                             wsn.neighbors(src).end()));
+      if (src == dst) continue;
+      const NodeId nh = wsn.next_hop(src, dst);
+      ASSERT_EQ(nh, parent[src]) << src << "->" << dst;
+      ASSERT_EQ(row.next_hop[src], nh);
+      ASSERT_TRUE(wsn.is_link(src, nh));
+      ASSERT_EQ(hops[nh], hops[src] - 1);
+    }
+  }
+}
+
+TEST(Wsn, RoutingTablesMatchReferenceBfsOnGrids) {
+  expect_routing_matches_reference_bfs(WsnTopology::grid(kArea, 5, 5));
+  expect_routing_matches_reference_bfs(
+      WsnTopology::grid({0.0, 0.0, 5.0, 5.0}, 10, 10));
+  for (const std::uint64_t seed : {2u, 6u, 17u}) {
+    Rng rng(seed);
+    expect_routing_matches_reference_bfs(
+        WsnTopology::jittered_grid({0.0, 0.0, 50.0, 34.0}, 10, 5, rng));
+  }
+}
+
+TEST(Wsn, RoutingTablesMatchReferenceBfsOnRandomUniform) {
+  for (const std::uint64_t seed : {3u, 4u, 5u, 6u}) {
+    for (const std::size_t n : {2u, 12u, 40u, 90u}) {
+      Rng rng(seed);
+      expect_routing_matches_reference_bfs(
+          WsnTopology::random_uniform(kArea, n, rng));
+    }
+  }
+}
+
 // -------------------------------------------------------------- UnitGraph --
 
 TEST(UnitGraph, LayerStructure) {
@@ -153,6 +216,50 @@ TEST(UnitGraph, NeighborsSymmetric) {
     const auto& nd = g.graph_neighbors(e.dst);
     EXPECT_NE(std::find(ns.begin(), ns.end(), e.dst), ns.end());
     EXPECT_NE(std::find(nd.begin(), nd.end(), e.src), nd.end());
+  }
+}
+
+// The comm-cost edge walk tracks the destination layer with a forward-only
+// cursor, which is only right if build() emits edges in non-decreasing
+// destination layer.  Checked on the lounge (E1) and IR-array (E2) CNNs,
+// which are also the assignment-ablation networks, plus a two-conv stack.
+TEST(UnitGraph, EdgesAreInNonDecreasingDestinationLayer) {
+  Rng rng(1);
+  ml::Network lounge;
+  lounge.emplace<ml::Conv2D>(1, 4, 3, 1, rng);
+  lounge.emplace<ml::ReLU>();
+  lounge.emplace<ml::MaxPool2D>(2);
+  lounge.emplace<ml::Flatten>();
+  lounge.emplace<ml::Dense>(4 * 8 * 12, 8, rng);
+  lounge.emplace<ml::ReLU>();
+  lounge.emplace<ml::Dense>(8, 2, rng);
+  ml::Network ir;
+  ir.emplace<ml::Conv2D>(10, 4, 3, 1, rng);
+  ir.emplace<ml::ReLU>();
+  ir.emplace<ml::MaxPool2D>(2);
+  ir.emplace<ml::Flatten>();
+  ir.emplace<ml::Dense>(4 * 5 * 5, 16, rng);
+  ir.emplace<ml::ReLU>();
+  ir.emplace<ml::Dense>(16, 2, rng);
+  ml::Network deep;
+  deep.emplace<ml::Conv2D>(1, 2, 3, 1, rng);
+  deep.emplace<ml::Conv2D>(2, 2, 3, 1, rng);
+  deep.emplace<ml::MaxPool2D>(2);
+  deep.emplace<ml::Flatten>();
+  deep.emplace<ml::Dense>(2 * 4 * 4, 6, rng);
+  deep.emplace<ml::Dense>(6, 3, rng);
+  const std::pair<const ml::Network*, std::vector<int>> cases[] = {
+      {&lounge, {1, 17, 25}}, {&ir, {10, 10, 10}}, {&deep, {1, 8, 8}}};
+  for (const auto& [net, shape] : cases) {
+    const auto g = UnitGraph::build(*net, shape);
+    ASSERT_FALSE(g.edges().empty());
+    std::size_t prev = 1;  // the input layer has no incoming edges
+    for (const UnitEdge& e : g.edges()) {
+      const std::size_t layer = g.layer_of(e.dst);
+      ASSERT_GE(layer, prev);
+      prev = layer;
+    }
+    EXPECT_EQ(prev, g.layers().size() - 1);
   }
 }
 
