@@ -15,6 +15,7 @@
 #include <iostream>
 
 #include "bench_report.hpp"
+#include "common/digest.hpp"
 #include "common/table.hpp"
 #include "fleet/fleet.hpp"
 
@@ -51,6 +52,24 @@ struct KindRow {
   std::uint64_t work = 0;
   double acc_weighted = 0.0;  // weighted by work items
 };
+
+/// Folds every row digest and every scalar aggregate except the wall-clock
+/// timing fields: equal at any ZEIOT_THREADS (the fleet's determinism
+/// contract), so CI compares it across thread counts.
+std::uint64_t fleet_digest(const fleet::FleetResult& res) {
+  Fnv1a64 h;
+  h.word(res.digest.size());
+  for (const std::uint64_t d : res.digest) h.word(d);
+  h.word(res.total_devices).word(res.inference_count);
+  h.bits(res.fleet_accuracy)
+      .bits(res.fleet_p50_latency_s)
+      .bits(res.fleet_p99_latency_s)
+      .bits(res.energy_per_inference_j);
+  h.word(res.frames_lost).word(res.e6_cells);
+  h.word(res.e6_frames_generated).word(res.e6_frames_delivered);
+  h.bits(res.e6_delivery_ratio);
+  return h.value();
+}
 
 }  // namespace
 
@@ -136,7 +155,8 @@ int main(int argc, char** argv) {
             << " ms, energy/inference "
             << Table::num(res.energy_per_inference_j * 1e3, 3) << " mJ\n"
             << "E6 cells: delivery " << Table::pct(res.e6_delivery_ratio)
-            << " over " << res.e6_frames_generated << " tag frames\n";
+            << " over " << res.e6_frames_generated << " tag frames\n"
+            << "fleet digest: " << fleet_digest(res) << "\n";
 
   bench::record_perf(g_obs, "a8.fleet", wall_s,
                      static_cast<double>(res.total_devices));

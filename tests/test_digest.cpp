@@ -126,6 +126,63 @@ std::uint64_t search_identity_digest(par::ThreadPool* pool) {
   return h.value();
 }
 
+// Every sample tensor and label of a template's shared dataset.
+std::uint64_t dataset_digest(const ml::Dataset& ds) {
+  Fnv1a64 h;
+  h.word(ds.size());
+  for (std::size_t i = 0; i < ds.size(); ++i) {
+    const ml::Tensor& x = ds.x(i);
+    h.word(x.size()).bytes(x.data(), x.size() * sizeof(float));
+    h.word(static_cast<std::uint64_t>(ds.label(i)));
+  }
+  return h.value();
+}
+
+// Three inference cells run standalone with spans on: a lounge, an IR
+// array, and a checkpointed lounge under brownouts (revival and durable
+// queue scheduling).  Their digests depend on how netexec's same-instant
+// radio re-polls are arbitrated, so they pin the event kernel's exact
+// (time, seq) order.
+std::uint64_t fleet_inference_digest(par::ThreadPool* pool) {
+  fleet::DeploymentSpec lounge;
+  lounge.kind = fleet::TemplateKind::LoungeE1;
+  lounge.cell_id = 4;
+  lounge.samples = 3;
+  fleet::DeploymentSpec ir;
+  ir.kind = fleet::TemplateKind::IrArrayE2;
+  ir.cell_id = 9;
+  ir.samples = 3;
+  fleet::DeploymentSpec brownout = lounge;
+  brownout.cell_id = 1;
+  brownout.samples = 2;
+  fault::FaultSpec f;
+  f.horizon_s = 0.02;  // inside the few-ms inference rounds
+  f.num_targets = 50;  // the lounge WSN's node count
+  f.brownout_rate = 3.0;
+  f.brownout_s = 0.05;
+  f.seed = 91;
+  EXPECT_GT(fault::generate_plan(f).count(fault::FaultType::Brownout), 0u);
+  brownout.fault = f;
+  brownout.checkpoint = netexec::CheckpointPolicy::EveryUnit;
+
+  fleet::FleetConfig cfg;
+  cfg.seed = 11;
+  cfg.deployments = {lounge, ir, brownout};
+  fleet::FleetSimulator sim(cfg);
+  Fnv1a64 h;
+  for (const fleet::DeploymentSpec& spec : sim.config().deployments) {
+    obs::Observability dep_obs(1 << 14);
+    dep_obs.enable_spans(1 << 14);
+    const fleet::DeploymentOutcome out = sim.run_deployment(spec, &dep_obs, pool);
+    EXPECT_EQ(dep_obs.trace().dropped(), 0u);
+    EXPECT_EQ(dep_obs.spans().dropped(), 0u);
+    EXPECT_GT(dep_obs.spans().size(), 0u);
+    h.word(out.digest).word(dep_obs.trace().digest()).word(
+        dep_obs.spans().digest());
+  }
+  return h.value();
+}
+
 }  // namespace
 
 TEST(Fnv1a64, MatchesPublishedVectors) {
@@ -209,6 +266,24 @@ TEST(PinnedDigest, FleetDeploymentOutcome) {
   ASSERT_EQ(dep_obs.trace().dropped(), 0u);
   EXPECT_EQ(v1_trace_digest(dep_obs.trace()), 0x05a024bce9a2479fULL);
   EXPECT_EQ(out.digest, 0xbdff347ea2fd6642ULL);
+}
+
+// Pinned before the event kernel's queue and callbacks were replaced: the
+// kernel must keep the exact (time, seq) order and seq numbering, so no
+// netexec outcome, trace or span may move.
+TEST(PinnedDigest, FleetInferenceOutcome) {
+  par::ThreadPool one(1);
+  par::ThreadPool four(4);
+  EXPECT_EQ(fleet_inference_digest(&one), 0x531b0d969338198eULL);
+  EXPECT_EQ(fleet_inference_digest(&four), 0x531b0d969338198eULL);
+}
+
+// Pinned before the datagen hot loops moved to flat row-major indexing.
+TEST(PinnedDigest, TemplateDatasets) {
+  EXPECT_EQ(dataset_digest(fleet::make_lounge_template()->data),
+            0xe3fb405468a8c6f4ULL);
+  EXPECT_EQ(dataset_digest(fleet::make_ir_array_template()->data),
+            0x37dcd6841d5aab65ULL);
 }
 
 TEST(PinnedDigest, CheckpointTrailer) {
