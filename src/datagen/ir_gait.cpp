@@ -12,10 +12,11 @@ void render_blob(ml::Tensor& frame, double cy, double cx, double sy,
                  double sx, double intensity) {
   const int rows = frame.dim(1), cols = frame.dim(2);
   for (int y = 0; y < rows; ++y) {
+    float* row = frame.data() + static_cast<std::size_t>(y) * cols;
     for (int x = 0; x < cols; ++x) {
       const double dy = (y - cy) / sy;
       const double dx = (x - cx) / sx;
-      frame.at({0, y, x}) +=
+      row[x] +=
           static_cast<float>(intensity * std::exp(-0.5 * (dy * dy + dx * dx)));
     }
   }

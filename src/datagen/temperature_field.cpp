@@ -6,13 +6,13 @@ namespace zeiot::datagen {
 
 namespace {
 
-/// Mean temperature of the `k`x`k` region with top-left (y, x).
-double region_mean(const ml::Tensor& map, int y, int x, int k) {
+/// Mean temperature of the `k`x`k` region with top-left (y, x) of a
+/// row-major map `cols` wide.
+double region_mean(const float* map, int cols, int y, int x, int k) {
   double s = 0.0;
   for (int dy = 0; dy < k; ++dy) {
-    for (int dx = 0; dx < k; ++dx) {
-      s += map.at({0, y + dy, x + dx});
-    }
+    const float* row = map + static_cast<std::size_t>(y + dy) * cols + x;
+    for (int dx = 0; dx < k; ++dx) s += row[dx];
   }
   return s / static_cast<double>(k * k);
 }
@@ -36,7 +36,10 @@ TemperatureSample generate_temperature_sample(const TemperatureFieldConfig& cfg,
   // Daytime solar gain along the x1 (window) wall.
   const double solar = std::max(0.0, std::sin(2.0 * M_PI * (day - 0.25))) * 2.0;
 
+  // Row-major {1, rows, cols}: cell (y, x) is field[y * cols + x].
+  float* field = map.data();
   for (int y = 0; y < cfg.rows; ++y) {
+    float* row = field + static_cast<std::size_t>(y) * cfg.cols;
     for (int x = 0; x < cfg.cols; ++x) {
       const double fx = (static_cast<double>(x) + 0.5) / cfg.cols;
       const double fy = (static_cast<double>(y) + 0.5) / cfg.rows;
@@ -47,7 +50,7 @@ TemperatureSample generate_temperature_sample(const TemperatureFieldConfig& cfg,
         temp -= 2.2 * std::exp(-d2 / 0.12);
       }
       temp += solar * fx * fx;  // stronger near the window wall
-      map.at({0, y, x}) = static_cast<float>(temp);
+      row[x] = static_cast<float>(temp);
     }
   }
 
@@ -59,9 +62,10 @@ TemperatureSample generate_temperature_sample(const TemperatureFieldConfig& cfg,
     const double cx = rng.uniform(0.0, static_cast<double>(cfg.cols));
     const double heat = cfg.cluster_heat_c * rng.uniform(0.6, 1.4);
     for (int y = 0; y < cfg.rows; ++y) {
+      float* row = field + static_cast<std::size_t>(y) * cfg.cols;
       for (int x = 0; x < cfg.cols; ++x) {
         const double d2 = (y - cy) * (y - cy) + (x - cx) * (x - cx);
-        map.at({0, y, x}) += static_cast<float>(
+        row[x] += static_cast<float>(
             heat * std::exp(-d2 / (2.0 * cfg.cluster_sigma_cells *
                                    cfg.cluster_sigma_cells)));
       }
@@ -72,7 +76,7 @@ TemperatureSample generate_temperature_sample(const TemperatureFieldConfig& cfg,
   int discomfort = 0;
   for (int y = 0; y + cfg.region_kernel <= cfg.rows && !discomfort; ++y) {
     for (int x = 0; x + cfg.region_kernel <= cfg.cols; ++x) {
-      const double m = region_mean(map, y, x, cfg.region_kernel);
+      const double m = region_mean(field, cfg.cols, y, x, cfg.region_kernel);
       if (m < cfg.comfort_lo_c || m > cfg.comfort_hi_c) {
         discomfort = 1;
         break;
