@@ -20,8 +20,9 @@
 // Memory is bounded two ways for million-device runs: deployments are
 // processed in fixed "waves" (only wave_size per-slot contexts live at
 // once — the wave layout is a pure function of the config, so it cannot
-// leak into results), and the per-deployment event queues recycle their
-// events through sim::Simulator's freelist arena.
+// leak into results), and each deployment's simulator holds its pending
+// events in a slot arena sized by its peak pending count, with small
+// callbacks stored inline, so the hot events allocate nothing.
 #pragma once
 
 #include <cstdint>
